@@ -320,8 +320,12 @@ func cmdSignificant(args []string, stdout, stderr io.Writer) error {
 		rep.SStar, rep.NumSignificant, rep.K, rep.Lambda, rep.Beta, 1-rep.Alpha)
 	printPatterns(stdout, rep.Significant, *top)
 	if rep.Baseline != nil {
-		fmt.Fprintf(stdout, "\n%s baseline (Procedure 1): %d of %d tested flagged; power ratio r = %.3f\n",
-			rep.Baseline.Correction, rep.Baseline.NumSignificant, rep.Baseline.NumTested, rep.PowerRatio)
+		ratio := "inf"
+		if rep.Baseline.NumSignificant > 0 {
+			ratio = fmt.Sprintf("%.3f", rep.PowerRatio)
+		}
+		fmt.Fprintf(stdout, "\n%s baseline (Procedure 1): %d of %d tested flagged; power ratio r = %s\n",
+			rep.Baseline.Correction, rep.Baseline.NumSignificant, rep.Baseline.NumTested, ratio)
 	}
 	return nil
 }

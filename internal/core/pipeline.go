@@ -53,8 +53,9 @@ type Options struct {
 	Workers int
 	// Algorithm selects the frequent-itemset miner driving both Algorithm
 	// 1's replicate mining and Procedure 2's counting pass (mining.Auto
-	// picks Eclat with an automatic layout; mining.FPGrowth and
-	// mining.Apriori force those engines). All algorithms mine identical
+	// picks the kernel per mine: the hash path at low floors on sparse
+	// data, else bitset Eclat on dense data and tid-list Eclat otherwise;
+	// mining.FPGrowth and mining.Apriori force those engines). All algorithms mine identical
 	// itemsets, so the choice affects performance only.
 	Algorithm mining.Algorithm
 	// Progress, when non-nil, receives Algorithm 1's replicate-merge progress

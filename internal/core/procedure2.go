@@ -77,7 +77,7 @@ func Procedure2Split(v *dataset.Vertical, k, sMin int, lambda LambdaFunc, alpha,
 
 // Procedure2Ex is Procedure2Split with an explicit worker count for the
 // counting pass (0 = NumCPU, 1 = serial) and an explicit mining algorithm
-// (mining.Auto = Eclat with automatic layout). The result is identical for
+// (mining.Auto = the kernel mining.Algorithm's Auto picks per call). The result is identical for
 // every worker count and algorithm: the counting pass is an integer support
 // histogram, which every miner fills identically.
 func Procedure2Ex(v *dataset.Vertical, k, sMin int, lambda LambdaFunc, alpha, beta float64, split BudgetSplit, workers int, algo mining.Algorithm) (*Procedure2Result, error) {

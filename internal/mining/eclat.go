@@ -18,9 +18,12 @@ import (
 // reused Scratch makes repeated mines — the Monte Carlo replicate loop —
 // allocation-free in steady state.
 
-// eclatDensityThreshold selects the bitset representation when average item
-// support exceeds this fraction of t (dense columns intersect faster as
-// words), and tid lists otherwise.
+// eclatDensityThreshold is the density switch of chooseKernel: Auto mines
+// over bitsets when the average support of the frequent items exceeds this
+// fraction of t (dense columns intersect faster as words), and over tid lists
+// otherwise. It governs every Auto k-itemset path — Algorithm 1's replicate
+// mining, Procedure 2's counting pass, CountKParallel and the final mine
+// (EclatK).
 const eclatDensityThreshold = 1.0 / 16
 
 // ensureScratch returns s, or a fresh Scratch when s is nil (the un-pooled
@@ -33,12 +36,9 @@ func ensureScratch(s *Scratch) *Scratch {
 }
 
 // EclatK mines all k-itemsets with support >= minSupport, choosing the
-// physical representation automatically.
+// physical layout by eclatLayout.
 func EclatK(v *dataset.Vertical, k, minSupport int) []Result {
-	if dense(v, minSupport) {
-		return EclatKBitset(v, k, minSupport)
-	}
-	return EclatKTidList(v, k, minSupport)
+	return EclatKParallel(v, k, minSupport, 1)
 }
 
 // dense estimates whether frequent columns are dense enough for bitsets.
@@ -92,11 +92,7 @@ func frequentItemsInto(items []uint32, v *dataset.Vertical, minSupport int) []ui
 
 // EclatKTidList is EclatK with sorted tid-list intersections.
 func EclatKTidList(v *dataset.Vertical, k, minSupport int) []Result {
-	var out []Result
-	eclatKTidList(v, k, minSupport, nil, func(items Itemset, support int) {
-		out = append(out, Result{Items: items.Clone(), Support: support})
-	})
-	return out
+	return EclatKTidListParallel(v, k, minSupport, 1)
 }
 
 // eclatKTidList runs the DFS, invoking emit for every size-k itemset found.
@@ -166,11 +162,7 @@ func emitSorted(prefix Itemset, sup int, emit func(Itemset, int)) {
 
 // EclatKBitset is EclatK with dense bitset intersections.
 func EclatKBitset(v *dataset.Vertical, k, minSupport int) []Result {
-	var out []Result
-	eclatKBitset(v, k, minSupport, nil, func(items Itemset, support int) {
-		out = append(out, Result{Items: items.Clone(), Support: support})
-	})
-	return out
+	return EclatKBitsetParallel(v, k, minSupport, 1)
 }
 
 // eclatKBitset runs the dense-bitset DFS, invoking emit for every size-k

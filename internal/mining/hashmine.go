@@ -10,8 +10,8 @@ import (
 // intersections. For sparse datasets (short transactions) the k-itemsets
 // with support >= 1 are exactly the k-subsets occurring inside transactions,
 // so enumerating each transaction's C(len, k) subsets into a hash table is
-// dramatically cheaper. The dispatcher VisitK estimates that enumeration
-// cost from the transaction length histogram and picks the faster strategy.
+// dramatically cheaper. chooseKernel estimates that enumeration cost from the
+// transaction length histogram and picks the faster strategy.
 //
 // The counting table is a string-free ItemsetTable (open addressing over the
 // packed item tuples) with a parallel count array, both pooled in the
@@ -27,14 +27,9 @@ const subsetBudget = 3_000_000
 // considered; at higher thresholds Eclat's pruning works fine.
 const hashPathMaxSupport = 8
 
-// transactionLengths recovers the per-transaction lengths from the vertical
-// layout in O(total occurrences).
-func transactionLengths(v *dataset.Vertical) []int {
-	return transactionLengthsInto(make([]int, v.NumTransactions), v)
-}
-
-// transactionLengthsInto is transactionLengths into a caller-sized buffer
-// (len must be v.NumTransactions; contents are overwritten).
+// transactionLengthsInto recovers the per-transaction lengths from the
+// vertical layout in O(total occurrences), into a caller-sized buffer (len
+// must be v.NumTransactions; contents are overwritten).
 func transactionLengthsInto(lens []int, v *dataset.Vertical) []int {
 	for i := range lens {
 		lens[i] = 0
@@ -80,16 +75,8 @@ func subsetEnumerationCost(lens []int, k int, limit int64) int64 {
 	return total
 }
 
-// useHashPath decides whether transaction-subset enumeration beats Eclat.
-func useHashPath(v *dataset.Vertical, k, minSupport int) bool {
-	if k < 2 || minSupport > hashPathMaxSupport {
-		return false
-	}
-	lens := transactionLengths(v)
-	return useHashPathLens(lens, k, minSupport)
-}
-
-// useHashPathLens is useHashPath against precomputed transaction lengths.
+// useHashPathLens decides, from the transaction lengths, whether
+// transaction-subset enumeration beats Eclat.
 func useHashPathLens(lens []int, k, minSupport int) bool {
 	if k < 2 || minSupport > hashPathMaxSupport {
 		return false
@@ -144,33 +131,10 @@ func hashMineK(v *dataset.Vertical, k, minSupport int, s *Scratch, emit func(Ite
 }
 
 // VisitK streams every k-itemset with support >= minSupport to emit,
-// choosing between Eclat DFS and transaction-subset enumeration by cost.
-// The itemset slice passed to emit is only valid during the call.
+// choosing the kernel by chooseKernel under Auto. The itemset slice passed to
+// emit is only valid during the call.
 func VisitK(v *dataset.Vertical, k, minSupport int, emit func(items Itemset, support int)) {
-	visitK(v, k, minSupport, nil, emit)
-}
-
-// visitK is VisitK with a threaded Scratch (nil allowed).
-func visitK(v *dataset.Vertical, k, minSupport int, s *Scratch, emit func(items Itemset, support int)) {
-	if k < 1 || minSupport < 1 {
-		panic("mining: VisitK requires k >= 1 and minSupport >= 1")
-	}
-	if k == 1 {
-		for it, l := range v.Tids {
-			if len(l) >= minSupport {
-				emit(Itemset{uint32(it)}, len(l))
-			}
-		}
-		return
-	}
-	s = ensureScratch(s)
-	if minSupport <= hashPathMaxSupport {
-		if useHashPathLens(s.scratchLengths(v), k, minSupport) {
-			hashMineK(v, k, minSupport, s, emit)
-			return
-		}
-	}
-	eclatKTidList(v, k, minSupport, s, emit)
+	visitKParallel(v, k, minSupport, 1, Auto, nil, emit)
 }
 
 // MineK mines size-k itemsets with the automatic strategy choice,

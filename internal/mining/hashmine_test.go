@@ -54,6 +54,14 @@ func TestHashMineAgreesWithEclat(t *testing.T) {
 	}
 }
 
+// useHashPath decides whether transaction-subset enumeration beats Eclat.
+func useHashPath(v *dataset.Vertical, k, minSupport int) bool {
+	if k < 2 || minSupport > hashPathMaxSupport {
+		return false
+	}
+	return useHashPathLens(NewScratch().scratchLengths(v), k, minSupport)
+}
+
 func TestVisitKDispatch(t *testing.T) {
 	r := stats.NewRNG(11)
 	// Sparse data at low threshold must select the hash path.

@@ -10,9 +10,14 @@ import (
 type Algorithm int
 
 const (
-	// Auto picks Eclat with an automatically chosen physical layout.
+	// Auto picks the kernel per call: bitset Eclat when the frequent
+	// columns are dense, tid-list Eclat otherwise, and — on the streaming
+	// VisitK, histogram and counting paths — the hash path at low floors on
+	// sparse data (see chooseKernel). Both Eclat layouts emit the same
+	// itemsets, supports and order, so the layout changes speed only.
 	Auto Algorithm = iota
-	// EclatTids forces vertical mining over sorted tid lists.
+	// EclatTids forces vertical mining over sorted tid lists (the streaming
+	// VisitK and histogram paths still take the hash path where Auto would).
 	EclatTids
 	// EclatBits forces vertical mining over dense bitsets.
 	EclatBits
@@ -69,7 +74,9 @@ type Options struct {
 	MinSupport int
 	// MaxLen caps itemset size when K is zero; <= 0 means unbounded.
 	MaxLen int
-	// Algorithm selects the strategy; Auto by default.
+	// Algorithm selects the strategy; Auto by default, which for K > 0
+	// picks bitset or tid-list Eclat by density (see eclatLayout) and for
+	// K = 0 mines all sizes over tid lists.
 	Algorithm Algorithm
 	// Workers bounds the goroutines of the parallel engine; 0 selects
 	// runtime.NumCPU(), 1 forces the serial path. For a fixed algorithm the
@@ -109,8 +116,9 @@ func Mine(d *dataset.Dataset, opts Options) ([]Result, error) {
 }
 
 // MineVertical mines directly from the vertical layout (the natural input
-// when datasets come from the random generator). Only the Eclat variants
-// apply; Auto picks the layout by density.
+// when datasets come from the random generator). Auto with K > 0 picks the
+// Eclat layout by density, as in EclatK; Apriori and FP-Growth mine a
+// horizontal conversion.
 func MineVertical(v *dataset.Vertical, opts Options) ([]Result, error) {
 	if opts.MinSupport < 1 {
 		return nil, fmt.Errorf("mining: MinSupport must be >= 1, got %d", opts.MinSupport)
@@ -155,20 +163,15 @@ func VisitKAlgoParallel(v *dataset.Vertical, k, minSupport, workers int, algo Al
 // This is the entry point of the Monte Carlo replicate engine: with a reused
 // per-worker Scratch the serial paths of every algorithm (Eclat over tid
 // lists or bitsets, FP-Growth, the hash path) stream straight from pooled
-// buffers, so a worker's second replicate allocates nothing.
+// buffers, so a worker's second replicate allocates nothing. Under Auto the
+// kernel is chosen per call by chooseKernel; s.LastKernel reports it.
 func VisitKAlgoScratch(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch, emit func(items Itemset, support int)) {
 	s = ensureScratch(s)
+	s.kernel = KernelNone
 	switch algo {
 	case EclatBits:
-		if workers = ResolveWorkers(workers); workers <= 1 {
-			// Streaming the serial kernel emits the exact DFS order the
-			// sharded merge reproduces, so both branches agree bit for bit.
-			eclatKBitset(v, k, minSupport, s, emit)
-			return
-		}
-		for _, r := range eclatKBitsetParallel(v, k, minSupport, workers, s) {
-			emit(r.Items, r.Support)
-		}
+		// Forced bitsets keep their DFS order at k = 1 too.
+		visitKernel(KernelBits, v, k, minSupport, ResolveWorkers(workers), s, emit)
 	case Apriori:
 		for _, r := range AprioriKParallel(s.horizontal(v), k, minSupport, workers) {
 			emit(r.Items, r.Support)
@@ -179,7 +182,7 @@ func VisitKAlgoScratch(v *dataset.Vertical, k, minSupport, workers int, algo Alg
 		// FPGrowthKParallel materializes, without the per-Result allocations.
 		fpGrowthVisitK(s.horizontal(v), k, minSupport, workers, s, emit)
 	default:
-		visitKParallel(v, k, minSupport, workers, s, emit)
+		visitKParallel(v, k, minSupport, workers, algo, s, emit)
 	}
 }
 
@@ -199,8 +202,6 @@ func SupportHistogramAlgoParallel(v *dataset.Vertical, k, minSupport, workers in
 func SupportHistogramAlgoScratch(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch) []int64 {
 	s = ensureScratch(s)
 	switch algo {
-	case EclatBits:
-		return supportHistogramBitsetParallel(v, k, minSupport, workers, s)
 	case FPGrowth:
 		return fpGrowthSupportHistogram(s.horizontal(v), k, minSupport, workers, v.MaxItemSupport()+1, s)
 	case Apriori:
@@ -210,6 +211,6 @@ func SupportHistogramAlgoScratch(v *dataset.Vertical, k, minSupport, workers int
 		}
 		return hist
 	default:
-		return supportHistogramParallel(v, k, minSupport, workers, s)
+		return supportHistogramAlgo(v, k, minSupport, workers, algo, s)
 	}
 }

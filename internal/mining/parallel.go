@@ -72,80 +72,21 @@ func parallelShards(n, workers int, fn func(worker, shard int)) {
 }
 
 // EclatKParallel is EclatK with a worker pool (workers <= 0: NumCPU); the
-// physical representation is chosen automatically, as in EclatK.
+// layout is chosen by eclatLayout, as in EclatK.
 func EclatKParallel(v *dataset.Vertical, k, minSupport, workers int) []Result {
-	if dense(v, minSupport) {
-		return EclatKBitsetParallel(v, k, minSupport, workers)
-	}
-	return EclatKTidListParallel(v, k, minSupport, workers)
+	return mineKernel(eclatLayout(v, minSupport), v, k, minSupport, ResolveWorkers(workers), NewScratch())
 }
 
 // EclatKTidListParallel mines k-itemsets over tid lists with a worker pool.
 // Output is identical (including order) to EclatKTidList for any worker count.
 func EclatKTidListParallel(v *dataset.Vertical, k, minSupport, workers int) []Result {
-	if k <= 0 || minSupport < 1 {
-		panic("mining: EclatK requires k >= 1 and minSupport >= 1")
-	}
-	if workers = ResolveWorkers(workers); workers <= 1 {
-		return EclatKTidList(v, k, minSupport)
-	}
-	s := NewScratch()
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	if len(items) < k {
-		return nil
-	}
-	n := len(items) - k + 1
-	if n <= 1 {
-		return EclatKTidList(v, k, minSupport)
-	}
-	workers = shardWorkers(s, n, workers)
-	bufs := make([][]Result, n)
-	parallelShards(n, workers, func(w, first int) {
-		bufs[first] = collectSubtree(func(emit func(Itemset, int)) {
-			eclatKTidListSubtree(v, items, k, minSupport, first, s.child(w), emit)
-		})
-	})
-	return mergeShardResults(bufs)
+	return mineKernel(KernelTids, v, k, minSupport, ResolveWorkers(workers), NewScratch())
 }
 
 // EclatKBitsetParallel mines k-itemsets over dense bitsets with a worker
 // pool; the columns are shared read-only, intersection scratch is per worker.
 func EclatKBitsetParallel(v *dataset.Vertical, k, minSupport, workers int) []Result {
-	if workers = ResolveWorkers(workers); workers > 1 {
-		return eclatKBitsetParallel(v, k, minSupport, workers, nil)
-	}
-	return EclatKBitset(v, k, minSupport)
-}
-
-// eclatKBitsetParallel is the scratch-threaded parallel bitset miner: the
-// parent Scratch supplies the pooled dense columns (built serially, shared
-// read-only across the shards) and one child Scratch per worker carries the
-// per-depth intersection bitsets.
-func eclatKBitsetParallel(v *dataset.Vertical, k, minSupport, workers int, s *Scratch) []Result {
-	if k <= 0 || minSupport < 1 {
-		panic("mining: EclatK requires k >= 1 and minSupport >= 1")
-	}
-	s = ensureScratch(s)
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	if len(items) < k {
-		return nil
-	}
-	n := len(items) - k + 1
-	if n <= 1 {
-		return EclatKBitset(v, k, minSupport)
-	}
-	workers = shardWorkers(s, n, workers)
-	cols := s.columns(v, items)
-	for w := 0; w < workers; w++ {
-		s.child(w).ensureBits(v.NumTransactions, k)
-	}
-	bufs := make([][]Result, n)
-	parallelShards(n, workers, func(w, first int) {
-		bufs[first] = collectSubtree(func(emit func(Itemset, int)) {
-			eclatKBitsetSubtree(v, items, cols, s.child(w), k, minSupport, first, emit)
-		})
-	})
-	return mergeShardResults(bufs)
+	return mineKernel(KernelBits, v, k, minSupport, ResolveWorkers(workers), NewScratch())
 }
 
 // EclatAllParallel mines all sizes (up to maxLen; <= 0 unbounded) with a
@@ -168,41 +109,13 @@ func EclatAllParallel(v *dataset.Vertical, minSupport, maxLen, workers int) []Re
 	return mergeShardResults(bufs)
 }
 
-// CountKParallel is CountK with a worker pool: per-worker counters over the
-// sharded eclat search, summed at the end. The hash-mining path (which wins
-// at very low thresholds on sparse data) is kept serial — it is selected
-// precisely when the total work is small.
+// CountKParallel is CountK with a worker pool: the Auto kernel's per-worker
+// support histograms, summed.
 func CountKParallel(v *dataset.Vertical, k, minSupport, workers int) int64 {
 	if k < 1 || minSupport < 1 {
 		panic("mining: CountK requires k >= 1 and minSupport >= 1")
 	}
-	workers = ResolveWorkers(workers)
-	if workers <= 1 || k == 1 || useHashPath(v, k, minSupport) {
-		return CountK(v, k, minSupport)
-	}
-	s := NewScratch()
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	if len(items) < k {
-		return 0
-	}
-	n := len(items) - k + 1
-	workers = shardWorkers(s, n, workers)
-	counts := make([]int64, workers)
-	parallelShards(n, workers, func(w, first int) {
-		// Accumulate into a shard-local counter: counts' adjacent slots
-		// share cache lines, and incrementing them per emission would
-		// false-share across workers in the engine's hottest loop.
-		var local int64
-		eclatKTidListSubtree(v, items, k, minSupport, first, s.child(w), func(Itemset, int) {
-			local++
-		})
-		counts[w] += local
-	})
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return total
+	return QFromHistogram(supportHistogramAlgo(v, k, minSupport, workers, Auto, nil), 0)
 }
 
 // newWorkerHistograms allocates one int64 histogram of the given size per
@@ -232,80 +145,19 @@ func mergeWorkerHistograms(hists [][]int64) []int64 {
 // per-worker histograms over the sharded eclat search, merged by integer
 // addition, so the result is exactly SupportHistogram's for any worker count.
 func SupportHistogramParallel(v *dataset.Vertical, k, minSupport, workers int) []int64 {
-	return supportHistogramParallel(v, k, minSupport, workers, nil)
+	return supportHistogramAlgo(v, k, minSupport, workers, Auto, nil)
 }
 
-// supportHistogramParallel is SupportHistogramParallel with a threaded
-// Scratch (nil allowed); a reused Scratch makes repeated histogram runs
-// allocation-free apart from the returned histogram itself.
-func supportHistogramParallel(v *dataset.Vertical, k, minSupport, workers int, s *Scratch) []int64 {
+// supportHistogramAlgo is the histogram of the kernel chooseKernel picks for
+// algo (Auto, EclatTids or EclatBits), with a threaded Scratch (nil
+// allowed); a reused Scratch makes repeated histogram runs allocation-free
+// apart from the returned histogram itself.
+func supportHistogramAlgo(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch) []int64 {
 	if k < 1 || minSupport < 1 {
 		panic("mining: SupportHistogram requires k >= 1 and minSupport >= 1")
 	}
 	s = ensureScratch(s)
-	workers = ResolveWorkers(workers)
-	if workers <= 1 || k == 1 ||
-		(minSupport <= hashPathMaxSupport && useHashPathLens(s.scratchLengths(v), k, minSupport)) {
-		return supportHistogram(v, k, minSupport, s)
-	}
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	size := v.MaxItemSupport() + 1
-	if len(items) < k {
-		return make([]int64, size)
-	}
-	n := len(items) - k + 1
-	workers = shardWorkers(s, n, workers)
-	hists := newWorkerHistograms(workers, size)
-	parallelShards(n, workers, func(w, first int) {
-		eclatKTidListSubtree(v, items, k, minSupport, first, s.child(w), func(_ Itemset, sup int) {
-			hists[w][sup]++
-		})
-	})
-	return mergeWorkerHistograms(hists)
-}
-
-// supportHistogram is the serial histogram with a threaded Scratch.
-func supportHistogram(v *dataset.Vertical, k, minSupport int, s *Scratch) []int64 {
-	hist := make([]int64, v.MaxItemSupport()+1)
-	visitK(v, k, minSupport, s, func(_ Itemset, sup int) {
-		hist[sup]++
-	})
-	return hist
-}
-
-// supportHistogramBitsetParallel is supportHistogramParallel with the dense
-// bitset kernels forced, for Algorithm = EclatBits callers: per-worker
-// histograms over the sharded bitset subtrees, merged by addition. The
-// histogram is identical to every other miner's; only the intersection
-// representation differs. k = 1 falls back to the generic path (no
-// intersections happen at size one).
-func supportHistogramBitsetParallel(v *dataset.Vertical, k, minSupport, workers int, s *Scratch) []int64 {
-	if k < 1 || minSupport < 1 {
-		panic("mining: SupportHistogram requires k >= 1 and minSupport >= 1")
-	}
-	s = ensureScratch(s)
-	if k == 1 {
-		return supportHistogram(v, k, minSupport, s)
-	}
-	workers = ResolveWorkers(workers)
-	size := v.MaxItemSupport() + 1
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	if len(items) < k {
-		return make([]int64, size)
-	}
-	n := len(items) - k + 1
-	workers = shardWorkers(s, n, workers)
-	cols := s.columns(v, items)
-	for w := 0; w < workers; w++ {
-		s.child(w).ensureBits(v.NumTransactions, k)
-	}
-	hists := newWorkerHistograms(workers, size)
-	parallelShards(n, workers, func(w, first int) {
-		eclatKBitsetSubtree(v, items, cols, s.child(w), k, minSupport, first, func(_ Itemset, sup int) {
-			hists[w][sup]++
-		})
-	})
-	return mergeWorkerHistograms(hists)
+	return histogramKernel(chooseKernel(v, k, minSupport, algo, s), v, k, minSupport, ResolveWorkers(workers), s)
 }
 
 // VisitKParallel streams every k-itemset with support >= minSupport to emit
@@ -315,52 +167,26 @@ func supportHistogramBitsetParallel(v *dataset.Vertical, k, minSupport, workers 
 // the duration of the call, as with VisitK. The hash-mining path and k = 1
 // stay serial (both are trivial fractions of the total work when selected).
 func VisitKParallel(v *dataset.Vertical, k, minSupport, workers int, emit func(items Itemset, support int)) {
-	visitKParallel(v, k, minSupport, workers, nil, emit)
+	visitKParallel(v, k, minSupport, workers, Auto, nil, emit)
 }
 
-// visitKParallel is VisitKParallel with a threaded Scratch (nil allowed).
-// The serial case (the Monte Carlo replicate engine's steady state) streams
-// straight through visitK and allocates nothing once the Scratch has warmed
-// up; the sharded case still materializes per-subtree buffers for the ordered
-// replay.
-func visitKParallel(v *dataset.Vertical, k, minSupport, workers int, s *Scratch, emit func(items Itemset, support int)) {
+// visitKParallel is VisitKParallel for algo (Auto or EclatTids) with a
+// threaded Scratch (nil allowed). k = 1 is answered from the item supports in
+// item-id order; otherwise chooseKernel picks the kernel.
+func visitKParallel(v *dataset.Vertical, k, minSupport, workers int, algo Algorithm, s *Scratch, emit func(items Itemset, support int)) {
 	if k < 1 || minSupport < 1 {
 		panic("mining: VisitK requires k >= 1 and minSupport >= 1")
 	}
-	s = ensureScratch(s)
-	workers = ResolveWorkers(workers)
-	if workers <= 1 || k == 1 ||
-		(minSupport <= hashPathMaxSupport && useHashPathLens(s.scratchLengths(v), k, minSupport)) {
-		visitK(v, k, minSupport, s, emit)
-		return
-	}
-	items := frequentItemsInto(s.items[:0], v, minSupport)
-	if len(items) < k {
-		return
-	}
-	n := len(items) - k + 1
-	workers = shardWorkers(s, n, workers)
-	bufs := make([][]Result, n)
-	parallelShards(n, workers, func(w, first int) {
-		bufs[first] = collectSubtree(func(emit func(Itemset, int)) {
-			eclatKTidListSubtree(v, items, k, minSupport, first, s.child(w), emit)
-		})
-	})
-	for i, b := range bufs {
-		for _, r := range b {
-			emit(r.Items, r.Support)
+	if k == 1 {
+		for it, l := range v.Tids {
+			if len(l) >= minSupport {
+				emit(Itemset{uint32(it)}, len(l))
+			}
 		}
-		bufs[i] = nil // release as we replay; emit may retain copies of its own
+		return
 	}
-}
-
-// collectSubtree materializes one subtree's emissions.
-func collectSubtree(run func(emit func(Itemset, int))) []Result {
-	var out []Result
-	run(func(is Itemset, sup int) {
-		out = append(out, Result{Items: is.Clone(), Support: sup})
-	})
-	return out
+	s = ensureScratch(s)
+	visitKernel(chooseKernel(v, k, minSupport, algo, s), v, k, minSupport, ResolveWorkers(workers), s, emit)
 }
 
 // mergeShardResults concatenates per-subtree buffers in subtree order.

@@ -32,10 +32,15 @@ type Scratch struct {
 	horiz   *dataset.Dataset // pooled horizontal conversion target
 	fp      fpScratch        // FP-Growth arena (trees, rank maps, buffers)
 	sub     []*Scratch       // child scratches for intra-mine worker shards
+	kernel  Kernel           // kernel of the last VisitKAlgoScratch call
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// LastKernel reports the k-itemset kernel the last VisitKAlgoScratch call on
+// s ran: KernelNone for k = 1, Apriori and FP-Growth.
+func (s *Scratch) LastKernel() Kernel { return s.kernel }
 
 // child returns the per-worker child Scratch for shard worker w, creating it
 // on first use and reusing it afterwards.

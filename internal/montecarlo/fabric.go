@@ -209,12 +209,14 @@ type RangeScratch struct {
 	v       *dataset.Vertical
 
 	// Timing, when set, makes MineRange split each replicate's wall time
-	// into dataset generation (GenNanos) versus mining (MineNanos),
+	// into dataset generation (GenNanos) versus mining (MineNanos) and count
+	// replicates per mining kernel (Kernels, indexed by mining.Kernel),
 	// accumulated across calls. Pure observation for tracing: it reads the
 	// clock twice per replicate and can never influence the mined partial.
 	Timing    bool
 	GenNanos  int64
 	MineNanos int64
+	Kernels   [mining.KernelHash + 1]int64
 }
 
 // NewRangeScratch returns an empty scratch.
@@ -292,6 +294,7 @@ func MineRange(ctx context.Context, m randmodel.Model, req RangeRequest, scr *Ra
 		mining.VisitKAlgoScratch(scr.v, req.K, req.Floor, intra, req.Algorithm, scr.scratch, visit)
 		if scr.Timing {
 			scr.MineNanos += time.Since(t1).Nanoseconds()
+			scr.Kernels[scr.scratch.LastKernel()]++
 		}
 		out.Counts = append(out.Counts, int32(len(out.Sups)-before))
 		if req.StatFloor > 0 {

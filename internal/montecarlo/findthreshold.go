@@ -64,10 +64,14 @@ type Config struct {
 	// merged in replicate order and intra-mine shards replay in serial
 	// order, so the output is identical for any worker count.
 	Workers int
-	// Algorithm selects the replicate miner (mining.Auto picks Eclat with an
-	// automatic physical layout; mining.FPGrowth and mining.Apriori force
-	// those engines). Every algorithm mines the same itemsets, and for a
-	// fixed algorithm the result is identical for any worker count.
+	// Algorithm selects the replicate miner. mining.Auto picks the kernel
+	// per replicate: the hash path at low floors on sparse data, else
+	// bitset Eclat when the replicate's frequent columns are dense and
+	// tid-list Eclat otherwise. Both Eclat layouts emit the same sequence,
+	// so the choice never changes the result. mining.FPGrowth and
+	// mining.Apriori force those engines. Every algorithm mines the same
+	// itemsets, and for a fixed algorithm the result is identical for any
+	// worker count.
 	Algorithm mining.Algorithm
 	// Progress, when non-nil, is called on the merge goroutine after each
 	// replicate's itemsets have been merged, with the number merged so far
@@ -568,15 +572,19 @@ func mineAll(ctx context.Context, m randmodel.Model, seeds []uint64, floor int, 
 
 	// The montecarlo.mine span covers the whole fan-out: its children are
 	// the per-range fabric spans (remote execution) and any prune spans; its
-	// closing attrs aggregate where the wall time went. traced gates the
-	// measurement work so an untraced run touches the clock no more than
-	// before.
+	// closing attrs aggregate where the wall time went and how many
+	// replicates each Auto kernel mined (kernel_hash, kernel_bits,
+	// kernel_tids; FP-Growth, Apriori and k = 1 replicates count under none).
+	// Ranges a Runner executes remotely are not counted: their kernel is
+	// chosen on the worker. traced gates the measurement work so an untraced
+	// run touches the clock no more than before.
 	traced := trace.Enabled(ctx)
 	ctx, msp := trace.Start(ctx, "montecarlo.mine",
 		trace.Int("replicates", len(seeds)), trace.Int("floor", floor),
 		trace.Int("range_size", rangeSize), trace.Int("ranges", len(ranges)),
 		trace.Int("inflight", inflight))
 	var genNanos, mineNanos atomic.Int64
+	var kernels [mining.KernelHash + 1]atomic.Int64
 
 	// Executors mine ranges at the floor known when the range was claimed;
 	// the merge re-filters against the current (possibly higher) prune
@@ -651,11 +659,14 @@ func mineAll(ctx context.Context, m randmodel.Model, seeds []uint64, floor int, 
 				default:
 					out = &Partial{}
 				}
-				g0, m0 := scr.GenNanos, scr.MineNanos
+				g0, m0, k0 := scr.GenNanos, scr.MineNanos, scr.Kernels
 				err := MineRange(ctx, m, req, scr, out)
 				if traced {
 					genNanos.Add(scr.GenNanos - g0)
 					mineNanos.Add(scr.MineNanos - m0)
+					for kn, n := range scr.Kernels {
+						kernels[kn].Add(n - k0[kn])
+					}
 				}
 				outputs[idx] <- rangeResult{p: out, err: err}
 			}
@@ -713,6 +724,9 @@ func mineAll(ctx context.Context, m randmodel.Model, seeds []uint64, floor int, 
 	msp.End(trace.String("outcome", "ok"), trace.Int("entries", col.numEntry),
 		trace.Int("generate_ms", int(genNanos.Load()/1e6)),
 		trace.Int("mine_ms", int(mineNanos.Load()/1e6)),
+		trace.Int("kernel_hash", int(kernels[mining.KernelHash].Load())),
+		trace.Int("kernel_bits", int(kernels[mining.KernelBits].Load())),
+		trace.Int("kernel_tids", int(kernels[mining.KernelTids].Load())),
 		trace.Int("merge_wait_ms", int(stall.Milliseconds())),
 		trace.Int("merge_wait_max_ms", int(maxStall.Milliseconds())))
 	return col, minPs, nil

@@ -220,8 +220,10 @@ type Pattern struct {
 // Every algorithm mines exactly the same itemsets; the choice affects
 // performance only.
 const (
-	// AlgoAuto picks Eclat with an automatically chosen physical layout
-	// (tid lists on sparse data, dense bitsets otherwise).
+	// AlgoAuto picks Eclat's physical layout per mine: dense bitsets when
+	// the frequent columns are dense, tid lists otherwise. The same choice
+	// drives the replicate mining and counting of the significance
+	// methodology.
 	AlgoAuto = "auto"
 	// AlgoEclat forces vertical depth-first mining over sorted tid lists.
 	AlgoEclat = "eclat"
