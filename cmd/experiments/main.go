@@ -62,24 +62,29 @@ type app struct {
 // nullFor builds the selected null model for one generated instance: the
 // paper's independence model from the measured profile, or margin-preserving
 // swap randomization seeded from the instance itself.
-func (a *app) nullFor(name string, v *dataset.Vertical) randmodel.Model {
-	if m := a.coreNull(v); m != nil {
-		return m
+func (a *app) nullFor(name string, v *dataset.Vertical) (randmodel.Model, error) {
+	if m, err := a.coreNull(v); m != nil || err != nil {
+		return m, err
 	}
-	return randmodel.FromProfile(dataset.ExtractVertical(name, v))
+	return randmodel.FromProfile(dataset.ExtractVertical(name, v)), nil
 }
 
 // coreNull is the core.Options.NullModel value for one instance: nil keeps
-// the pipeline's default (independence from the measured profile).
-func (a *app) coreNull(v *dataset.Vertical) randmodel.Model {
+// the pipeline's default (independence from the measured profile). It fails
+// when the swap chain length overflows int on the instance.
+func (a *app) coreNull(v *dataset.Vertical) (randmodel.Model, error) {
 	if !a.swapNull {
-		return nil
+		return nil, nil
 	}
-	return &randmodel.SwapModel{
+	m := &randmodel.SwapModel{
 		Base:                   v.Horizontal(),
 		ProposalsPerOccurrence: a.swapPPO,
 		Proposals:              a.swapProposals,
 	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 func main() {
@@ -138,6 +143,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *table < 0 || *table > 5 {
 		fmt.Fprintf(stderr, "experiments: -table must be 0-5, got %d\n", *table)
+		return 2
+	}
+	if *swapPPO < 0 || *swapProposals < 0 {
+		fmt.Fprintf(stderr, "experiments: -swap-ppo and -swap-proposals must be >= 0, got %d and %d\n", *swapPPO, *swapProposals)
 		return 2
 	}
 	if *scale < 0 {
@@ -232,7 +241,11 @@ func (a *app) table2(specs []synth.Spec, ks []int) {
 	for _, spec := range specs {
 		cells := make([]string, len(ks))
 		real := spec.GenerateReal(a.seed)
-		null := a.nullFor(spec.Name, real)
+		null, err := a.nullFor(spec.Name, real)
+		if err != nil {
+			a.row("Rand"+spec.Name, errCells(len(ks), err))
+			continue
+		}
 		for i, k := range ks {
 			res, err := montecarlo.FindPoissonThreshold(null, montecarlo.Config{
 				K: k, Delta: a.delta, Epsilon: 0.01, Seed: a.seed, Workers: a.workers, Algorithm: a.algo,
@@ -254,7 +267,11 @@ func (a *app) table3(specs []synth.Spec, ks []int) {
 	fmt.Fprintf(a.out, "%-12s %4s %10s %12s %12s\n", "Dataset", "k", "s*", "Q_{k,s*}", "lambda(s*)")
 	for _, spec := range specs {
 		v := spec.GenerateReal(a.seed)
-		nm := a.coreNull(v) // one model per spec: its snapshot/pool warm across ks
+		nm, err := a.coreNull(v) // one model per spec: its snapshot/pool warm across ks
+		if err != nil {
+			fmt.Fprintf(a.out, "%-12s  error: %v\n", spec.Name, err)
+			continue
+		}
 		for _, k := range ks {
 			an, err := core.Analyze(spec.Name, v, k, core.Options{
 				Delta: a.delta, Seed: a.seed, Workers: a.workers, Algorithm: a.algo,
@@ -294,7 +311,11 @@ func (a *app) table4(specs []synth.Spec, ks []int) {
 	for _, spec := range specs {
 		cells := make([]string, len(ks))
 		real := spec.GenerateReal(a.seed)
-		null := a.nullFor(spec.Name, real)
+		null, err := a.nullFor(spec.Name, real)
+		if err != nil {
+			a.row("Random"+spec.Name, errCells(len(ks), err))
+			continue
+		}
 		for i, k := range ks {
 			mc, err := montecarlo.FindPoissonThreshold(null, montecarlo.Config{
 				K: k, Delta: a.delta, Epsilon: 0.01, Seed: a.seed, Workers: a.workers, Algorithm: a.algo,
@@ -341,7 +362,11 @@ func (a *app) table5(specs []synth.Spec, ks []int) {
 	fmt.Fprintf(a.out, "%-12s %4s %10s %10s\n", "Dataset", "k", "|R|", "r")
 	for _, spec := range specs {
 		v := spec.GenerateReal(a.seed)
-		nm := a.coreNull(v) // one model per spec: its snapshot/pool warm across ks
+		nm, err := a.coreNull(v) // one model per spec: its snapshot/pool warm across ks
+		if err != nil {
+			fmt.Fprintf(a.out, "%-12s  error: %v\n", spec.Name, err)
+			continue
+		}
 		for _, k := range ks {
 			an, err := core.Analyze(spec.Name, v, k, core.Options{
 				Delta: a.delta, Seed: a.seed, Workers: a.workers, Algorithm: a.algo, RunProcedure1: true,
@@ -368,6 +393,15 @@ func (a *app) header(label string, ks []int, f func(int) string) {
 		fmt.Fprintf(a.out, "%12s", f(k))
 	}
 	fmt.Fprintln(a.out)
+}
+
+// errCells fills a table row's n cells with err.
+func errCells(n int, err error) []string {
+	cells := make([]string, n)
+	for i := range cells {
+		cells[i] = "err:" + err.Error()
+	}
+	return cells
 }
 
 func (a *app) row(label string, cells []string) {

@@ -25,6 +25,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown dataset", []string{"-datasets", "NoSuchProfile"}, 2, "unknown dataset", ""},
 		{"bad table", []string{"-table", "9"}, 2, "-table must be 0-5", ""},
 		{"negative scale", []string{"-scale=-2"}, 2, "-scale must be >= 0", ""},
+		{"negative swap ppo", []string{"-null", "swap", "-swap-ppo=-1"}, 2, "-swap-ppo and -swap-proposals must be >= 0", ""},
+		{"overflowing swap chain", []string{"-null", "swap", "-swap-ppo", "4611686018427387904",
+			"-table", "2", "-datasets", "Bms1", "-scale", "64", "-k", "2"}, 0, "", "overflows int"},
 		{"table1 ok", []string{"-table", "1", "-datasets", "Bms1", "-scale", "64"}, 0, "", "== Table 1"},
 	}
 	for _, tc := range cases {

@@ -223,7 +223,10 @@
 // Config.SwapProposalsPerOccurrence sets it relative to the number of ones
 // in the transaction matrix (default 8; Gionis et al. report mixing after a
 // small constant), and Config.SwapProposals, when positive, fixes the
-// absolute per-replicate proposal count instead.
+// absolute per-replicate proposal count instead. Negative values, and a
+// per-occurrence count whose product with the number of ones overflows
+// int, are rejected (Dataset.ValidateConfig reports the same error before
+// any work starts).
 //
 // The swap null drives Significant and SignificantCtx only. FindSMin is
 // independence-only by contract: it reproduces the paper's published

@@ -3,6 +3,7 @@ package randmodel
 import (
 	"testing"
 
+	"sigfim/internal/dataset"
 	"sigfim/internal/stats"
 )
 
@@ -43,13 +44,65 @@ func BenchmarkGenerateNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkSwapRandomizeChain(b *testing.B) {
-	m := benchModel()
-	d := m.Generate(stats.NewRNG(3)).Horizontal()
-	r := stats.NewRNG(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SwapRandomize(d, 4, r)
+// swapBenchShapes are the row-length regimes the pooled swap chain must
+// handle: many short rows (membership is a scan of a few slots), dense rows
+// around fifty items, and a base whose occurrences sit mostly in 2,000-item
+// rows (membership there must not degrade to a linear scan). Each holds
+// ~100k occurrences, so a replicate at 4 proposals per occurrence runs 400k
+// proposals.
+func swapBenchShapes() []swapBenchShape {
+	indep := func(n, t int, fmin, fmax, mean float64, seed uint64) *dataset.Dataset {
+		z := stats.FitPowerLaw(n, fmin, fmax, mean)
+		return IndependentModel{T: t, Freqs: z.Frequencies()}.Generate(stats.NewRNG(seed)).Horizontal()
+	}
+	// Long rows: 40 rows holding a random half of 4,000 items each, plus
+	// 2,000 rows of five items drawn from the same universe.
+	const n = 4000
+	r := stats.NewRNG(12)
+	var tx [][]uint32
+	for i := 0; i < 40; i++ {
+		var row []uint32
+		for it := uint32(0); it < n; it++ {
+			if r.Bernoulli(0.5) {
+				row = append(row, it)
+			}
+		}
+		tx = append(tx, row)
+	}
+	for i := 0; i < 2000; i++ {
+		row := make([]uint32, 5)
+		for j := range row {
+			row[j] = uint32(r.Intn(n))
+		}
+		tx = append(tx, row)
+	}
+	return []swapBenchShape{
+		{"short", indep(2000, 10000, 1e-4, 0.3, 10, 10)},
+		{"dense", indep(200, 2000, 0.05, 0.9, 50, 11)},
+		{"long", dataset.MustNew(n, tx)},
+	}
+}
+
+type swapBenchShape struct {
+	name string
+	d    *dataset.Dataset
+}
+
+// BenchmarkSwapGenerateInto times one pooled swap-null replicate (4
+// proposals per occurrence) per op on each row-length shape.
+func BenchmarkSwapGenerateInto(b *testing.B) {
+	for _, sh := range swapBenchShapes() {
+		b.Run(sh.name, func(b *testing.B) {
+			m := &SwapModel{Base: sh.d, ProposalsPerOccurrence: 4}
+			v := &dataset.Vertical{}
+			r := stats.NewRNG(4)
+			m.GenerateInto(r.Split(), v) // build the shared snapshot and pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.GenerateInto(r.Split(), v)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,8 @@
 package randmodel
 
 import (
-	"sort"
+	"fmt"
+	"math"
 	"sync"
 
 	"sigfim/internal/dataset"
@@ -18,100 +19,6 @@ import (
 // null model of [10]; we ship it as a first-class null for the significance
 // pipeline alongside the independence model.
 
-// SwapRandomizer holds the mutable occurrence structures of the chain.
-type SwapRandomizer struct {
-	numItems int
-	occTid   []uint32          // occurrence -> transaction id
-	occItem  []uint32          // occurrence -> item id
-	member   []map[uint32]bool // per transaction: item membership
-	applied  int               // successful swaps so far
-	proposed int               // proposals so far
-}
-
-// NewSwapRandomizer initializes the chain at the given dataset.
-func NewSwapRandomizer(d *dataset.Dataset) *SwapRandomizer {
-	sr := &SwapRandomizer{numItems: d.NumItems()}
-	sr.member = make([]map[uint32]bool, d.NumTransactions())
-	for tid := 0; tid < d.NumTransactions(); tid++ {
-		tr := d.Transaction(tid)
-		sr.member[tid] = make(map[uint32]bool, len(tr))
-		for _, it := range tr {
-			sr.member[tid][it] = true
-			sr.occTid = append(sr.occTid, uint32(tid))
-			sr.occItem = append(sr.occItem, it)
-		}
-	}
-	return sr
-}
-
-// Step proposes one swap; it returns true when the proposal was applied.
-func (sr *SwapRandomizer) Step(r *stats.RNG) bool {
-	sr.proposed++
-	n := len(sr.occTid)
-	if n < 2 {
-		return false
-	}
-	a := r.Intn(n)
-	b := r.Intn(n)
-	if a == b {
-		return false
-	}
-	t1, i1 := sr.occTid[a], sr.occItem[a]
-	t2, i2 := sr.occTid[b], sr.occItem[b]
-	if t1 == t2 || i1 == i2 {
-		return false
-	}
-	if sr.member[t1][i2] || sr.member[t2][i1] {
-		return false
-	}
-	// Rewire.
-	delete(sr.member[t1], i1)
-	delete(sr.member[t2], i2)
-	sr.member[t1][i2] = true
-	sr.member[t2][i1] = true
-	sr.occItem[a], sr.occItem[b] = i2, i1
-	sr.applied++
-	return true
-}
-
-// Run performs the given number of proposals and returns how many applied.
-func (sr *SwapRandomizer) Run(proposals int, r *stats.RNG) int {
-	applied := 0
-	for i := 0; i < proposals; i++ {
-		if sr.Step(r) {
-			applied++
-		}
-	}
-	return applied
-}
-
-// Applied returns the number of successful swaps so far.
-func (sr *SwapRandomizer) Applied() int { return sr.applied }
-
-// Dataset materializes the current chain state.
-func (sr *SwapRandomizer) Dataset() *dataset.Dataset {
-	tx := make([][]uint32, len(sr.member))
-	for tid, set := range sr.member {
-		tr := make([]uint32, 0, len(set))
-		for it := range set {
-			tr = append(tr, it)
-		}
-		sort.Slice(tr, func(a, b int) bool { return tr[a] < tr[b] })
-		tx[tid] = tr
-	}
-	return dataset.MustNew(sr.numItems, tx)
-}
-
-// SwapRandomize runs the chain for proposalsPerOccurrence * |occurrences|
-// proposals starting from d and returns the randomized dataset. Gionis et
-// al. report mixing after a small constant times the number of ones; 4-10
-// proposals per occurrence is customary.
-func SwapRandomize(d *dataset.Dataset, proposalsPerOccurrence int, r *stats.RNG) *dataset.Dataset {
-	sr := NewSwapRandomizer(d)
-	sr.Run(proposalsPerOccurrence*len(sr.occTid), r)
-	return sr.Dataset()
-}
-
 // SwapModel adapts swap randomization to the Model interface: every Generate
 // (or GenerateInto) re-runs the chain from the reference dataset with a fresh
 // stream, so replicates are independent approximate draws from the fixed-
@@ -124,6 +31,9 @@ func SwapRandomize(d *dataset.Dataset, proposalsPerOccurrence int, r *stats.RNG)
 // without per-replicate allocation. Use it by pointer (&SwapModel{...}):
 // the methods have pointer receivers because the model carries the shared
 // once-guarded snapshot and the scratch pool, and must not be copied.
+//
+// Callers that take the chain length from outside the program check it with
+// Validate before generating: generation panics on a length Validate rejects.
 type SwapModel struct {
 	Base *dataset.Dataset
 	// ProposalsPerOccurrence controls chain length relative to the number of
@@ -149,44 +59,74 @@ func (m *SwapModel) NumItems() int { return m.Base.NumItems() }
 // state shares (swaps preserve column margins exactly).
 func (m *SwapModel) ItemFrequencies() []float64 { return m.Base.Frequencies() }
 
-// proposals returns the per-replicate chain length for occ occurrences.
-func (m *SwapModel) proposals(occ int) int {
-	if m.Proposals > 0 {
-		return m.Proposals
+// Validate reports whether the chain length is usable on Base: both knobs
+// must be non-negative, and ProposalsPerOccurrence times the number of ones
+// in Base must fit in an int. An overflowing product would wrap to a chain
+// of zero or few proposals, and every "null" replicate would be Base itself.
+func (m *SwapModel) Validate() error {
+	occ := 0
+	for _, tr := range m.Base.Transactions() {
+		occ += len(tr)
 	}
-	ppo := m.ProposalsPerOccurrence
-	if ppo <= 0 {
-		ppo = 8
-	}
-	return ppo * occ
+	_, err := m.proposals(occ)
+	return err
 }
 
-// Generate runs a fresh chain through the allocating SwapRandomizer and
-// returns the vertical layout. GenerateInto consumes the identical random
-// stream and produces the identical dataset; keeping this independent
-// implementation alive lets the tests cross-check the two against each other.
+// proposals returns the per-replicate chain length for occ occurrences.
+func (m *SwapModel) proposals(occ int) (int, error) {
+	if m.ProposalsPerOccurrence < 0 || m.Proposals < 0 {
+		return 0, fmt.Errorf("swap chain lengths must be >= 0, got %d proposals per occurrence and %d proposals",
+			m.ProposalsPerOccurrence, m.Proposals)
+	}
+	if m.Proposals > 0 {
+		return m.Proposals, nil
+	}
+	ppo := m.ProposalsPerOccurrence
+	if ppo == 0 {
+		ppo = 8
+	}
+	if occ > 0 && ppo > math.MaxInt/occ {
+		return 0, fmt.Errorf("swap chain of %d proposals per occurrence over %d occurrences overflows int",
+			ppo, occ)
+	}
+	return ppo * occ, nil
+}
+
+// Generate runs a fresh chain into a new Vertical; see GenerateInto.
 func (m *SwapModel) Generate(r *stats.RNG) *dataset.Vertical {
-	sr := NewSwapRandomizer(m.Base)
-	sr.Run(m.proposals(len(sr.occTid)), r)
-	return sr.Dataset().Vertical()
+	v := &dataset.Vertical{}
+	m.GenerateInto(r, v)
+	return v
 }
 
 // GenerateInto runs a fresh chain in pooled scratch space and materializes
 // the result into v (reshaped via Reuse, per-item column backing arrays
-// retained). The proposal sequence, the accept/reject decisions, and the
-// resulting dataset are bit-identical to Generate for the same r, so pooled
-// and allocating generation are interchangeable at every worker count.
+// retained). The proposal sequence, the accept/reject decisions and the
+// resulting dataset depend only on Base, the chain length and r, so pooled
+// generation is interchangeable at every worker count.
 func (m *SwapModel) GenerateInto(r *stats.RNG, v *dataset.Vertical) {
 	b := m.prepare()
+	proposals, err := m.proposals(len(b.occTid))
+	if err != nil {
+		panic(err)
+	}
 	sc, _ := m.pool.Get().(*swapScratch)
 	if sc == nil {
 		sc = &swapScratch{}
 	}
 	sc.reset(b)
-	sc.run(b, m.proposals(len(b.occTid)), r)
+	sc.run(b, proposals, r)
 	sc.materialize(b, v)
 	m.pool.Put(sc)
 }
+
+// swapScanMax is the longest row whose membership test is a linear scan of
+// its occurrence slots. A longer row also keeps a sorted copy, searched by
+// bisection and shifted on every accepted swap. Measured on uniform rows of
+// length L over 4L and 40L items, the scan stays ahead up to L = 256 and
+// falls behind by L = 512; on 2,000-item rows it is 4x slower than the
+// bisection. 128 leaves a margin on both sides.
+const swapScanMax = 128
 
 // prepare builds (once) the immutable chain-start snapshot shared by every
 // worker's scratch.
@@ -202,51 +142,56 @@ func (m *SwapModel) prepare() *swapBase {
 			numItems: d.NumItems(),
 			numTx:    t,
 			occTid:   make([]uint32, 0, total),
-			arena:    make([]uint32, 0, total),
+			occItem:  make([]uint32, 0, total),
 			txOff:    make([]int, t+1),
 		}
 		for tid := 0; tid < t; tid++ {
 			tr := d.Transaction(tid)
-			b.txOff[tid] = len(b.arena)
-			b.arena = append(b.arena, tr...)
+			b.txOff[tid] = len(b.occItem)
+			b.occItem = append(b.occItem, tr...)
 			for range tr {
 				b.occTid = append(b.occTid, uint32(tid))
 			}
+			if len(tr) > swapScanMax {
+				if b.sortedOff == nil {
+					b.sortedOff = make([]int, t)
+				}
+				b.sortedOff[tid] = len(b.sorted)
+				b.sorted = append(b.sorted, tr...)
+			}
 		}
-		b.txOff[t] = len(b.arena)
+		b.txOff[t] = len(b.occItem)
 		m.prep = b
 	})
 	return m.prep
 }
 
-// swapBase is the immutable chain-start state: the occurrence->transaction
-// map and the flat sorted-transaction arena. Transactions are enumerated in
-// the same (tid, ascending item) order NewSwapRandomizer uses, so occurrence
-// j starts at item arena[j] — the arena doubles as the initial occurrence->
-// item array.
+// swapBase is the immutable chain-start state. Occurrences are enumerated
+// transaction by transaction in ascending tid order, so transaction t owns
+// the occurrence slots [txOff[t], txOff[t+1]) and the chain's
+// occurrence->item array doubles as the row store: slot j always belongs to
+// transaction occTid[j], whichever item it currently holds.
 type swapBase struct {
-	numItems int
-	numTx    int
-	occTid   []uint32 // occurrence -> transaction id (never mutated by the chain)
-	arena    []uint32 // concatenated sorted transactions at the chain start
-	txOff    []int    // transaction t occupies arena[txOff[t]:txOff[t+1]]
+	numItems  int
+	numTx     int
+	occTid    []uint32 // occurrence -> transaction id (never mutated by the chain)
+	occItem   []uint32 // occurrence -> item id at the chain start
+	txOff     []int    // transaction t owns occurrence slots [txOff[t], txOff[t+1])
+	sorted    []uint32 // sorted copies of the rows longer than swapScanMax
+	sortedOff []int    // such a row t starts at sorted[sortedOff[t]]; nil when no row is that long
 }
 
 // swapScratch is one worker's mutable chain state, reset from the base
-// snapshot with two bulk copies per replicate. Transaction windows stay
-// sorted across swaps (membership tests are binary searches; an applied swap
-// shifts at most one window's worth of items), which also keeps the
-// materialized vertical columns sorted for free: transactions are visited in
-// ascending tid order, so each item's tid list is appended in order.
+// snapshot with bulk copies per replicate.
 type swapScratch struct {
-	occItem []uint32 // occurrence -> item id (chain state)
-	arena   []uint32 // per-transaction sorted item windows (chain state)
+	occItem []uint32 // occurrence -> item id (chain state, unsorted within rows)
+	sorted  []uint32 // sorted copies of the long rows (chain state)
 }
 
 // reset restores the scratch to the chain-start state.
 func (sc *swapScratch) reset(b *swapBase) {
-	sc.occItem = append(sc.occItem[:0], b.arena...)
-	sc.arena = append(sc.arena[:0], b.arena...)
+	sc.occItem = append(sc.occItem[:0], b.occItem...)
+	sc.sorted = append(sc.sorted[:0], b.sorted...)
 }
 
 // searchU32 returns the first index in w whose value is >= x.
@@ -263,17 +208,34 @@ func searchU32(w []uint32, x uint32) int {
 	return lo
 }
 
-// contains reports whether transaction t currently holds item x.
-func (sc *swapScratch) contains(b *swapBase, t uint32, x uint32) bool {
-	w := sc.arena[b.txOff[t]:b.txOff[t+1]]
-	i := searchU32(w, x)
-	return i < len(w) && w[i] == x
+// sortedRow returns the sorted copy of transaction t, whose row holds l
+// items, or nil when the row is short enough to be scanned in place.
+func (sc *swapScratch) sortedRow(b *swapBase, t uint32, l int) []uint32 {
+	if l <= swapScanMax {
+		return nil
+	}
+	off := b.sortedOff[t]
+	return sc.sorted[off : off+l]
 }
 
-// replace swaps item old for item new in transaction t, keeping the window
+// member reports whether a row holds x: by bisecting its sorted copy when
+// it has one, else by scanning its slots.
+func member(row, sorted []uint32, x uint32) bool {
+	if sorted != nil {
+		i := searchU32(sorted, x)
+		return i < len(sorted) && sorted[i] == x
+	}
+	for _, y := range row {
+		if y == x {
+			return true
+		}
+	}
+	return false
+}
+
+// replaceSorted swaps item old for item new in the sorted row w, keeping it
 // sorted. old must be present and new absent (the chain checks both).
-func (sc *swapScratch) replace(b *swapBase, t uint32, old, new uint32) {
-	w := sc.arena[b.txOff[t]:b.txOff[t+1]]
+func replaceSorted(w []uint32, old, new uint32) {
 	p := searchU32(w, old)
 	q := searchU32(w, new)
 	if q > p {
@@ -285,40 +247,54 @@ func (sc *swapScratch) replace(b *swapBase, t uint32, old, new uint32) {
 	}
 }
 
-// run executes the Markov chain: the same proposal loop as
-// SwapRandomizer.Step, consuming the identical RNG stream (two Intn draws
-// per proposal, none when fewer than two occurrences exist).
+// run executes the Markov chain of Gionis et al.: two Intn draws per
+// proposal (none when fewer than two occurrences exist); a proposal is
+// rejected when it picks one slot twice, two slots of one transaction or of
+// one item, or when either rewired transaction already holds the incoming
+// item. An accepted swap rewrites the two slots.
 func (sc *swapScratch) run(b *swapBase, proposals int, r *stats.RNG) {
 	n := len(b.occTid)
 	if n < 2 {
 		return
 	}
+	occ, occTid, txOff := sc.occItem, b.occTid, b.txOff
 	for p := 0; p < proposals; p++ {
 		a := r.Intn(n)
 		c := r.Intn(n)
 		if a == c {
 			continue
 		}
-		t1, i1 := b.occTid[a], sc.occItem[a]
-		t2, i2 := b.occTid[c], sc.occItem[c]
+		t1, i1 := occTid[a], occ[a]
+		t2, i2 := occTid[c], occ[c]
 		if t1 == t2 || i1 == i2 {
 			continue
 		}
-		if sc.contains(b, t1, i2) || sc.contains(b, t2, i1) {
+		row1 := occ[txOff[t1]:txOff[t1+1]]
+		s1 := sc.sortedRow(b, t1, len(row1))
+		if member(row1, s1, i2) {
 			continue
 		}
-		sc.replace(b, t1, i1, i2)
-		sc.replace(b, t2, i2, i1)
-		sc.occItem[a], sc.occItem[c] = i2, i1
+		row2 := occ[txOff[t2]:txOff[t2+1]]
+		s2 := sc.sortedRow(b, t2, len(row2))
+		if member(row2, s2, i1) {
+			continue
+		}
+		if s1 != nil {
+			replaceSorted(s1, i1, i2)
+		}
+		if s2 != nil {
+			replaceSorted(s2, i2, i1)
+		}
+		occ[a], occ[c] = i2, i1
 	}
 }
 
 // materialize writes the current chain state into v in vertical layout.
+// Slots are visited in ascending tid order, so every item's tid list comes
+// out sorted although rows are unsorted.
 func (sc *swapScratch) materialize(b *swapBase, v *dataset.Vertical) {
 	v.Reuse(b.numTx, b.numItems)
-	for tid := 0; tid < b.numTx; tid++ {
-		for _, it := range sc.arena[b.txOff[tid]:b.txOff[tid+1]] {
-			v.Tids[it] = append(v.Tids[it], uint32(tid))
-		}
+	for j, it := range sc.occItem {
+		v.Tids[it] = append(v.Tids[it], b.occTid[j])
 	}
 }

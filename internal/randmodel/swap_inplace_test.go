@@ -2,6 +2,7 @@ package randmodel
 
 import (
 	"hash/fnv"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 // In-place swap-generation tests: (*SwapModel).GenerateInto must consume the
-// exact RNG stream of the allocating Generate path and produce the identical
+// exact RNG stream of the map-based oracle chain and produce the identical
 // dataset, including against golden fingerprints captured from the
 // pre-refactor (map-based, allocating) implementation.
 
@@ -72,32 +73,108 @@ func TestSwapGenerateMatchesPreRefactorGolden(t *testing.T) {
 	}
 }
 
+// swapRows builds a dataset over n items from rows of the given lengths,
+// each a uniform random subset of the universe.
+func swapRows(n int, lens []int, seed uint64) *dataset.Dataset {
+	r := stats.NewRNG(seed)
+	tx := make([][]uint32, len(lens))
+	for i, l := range lens {
+		for _, it := range r.Perm(n)[:l] {
+			tx[i] = append(tx[i], uint32(it))
+		}
+	}
+	return dataset.MustNew(n, tx)
+}
+
+// repeatLens returns count copies of each length, interleaved.
+func repeatLens(count int, lens ...int) []int {
+	var out []int
+	for i := 0; i < count; i++ {
+		out = append(out, lens...)
+	}
+	return out
+}
+
+// oracleVertical runs the map-based reference chain for m's chain length
+// from seed.
+func oracleVertical(t *testing.T, m *SwapModel, seed uint64) *dataset.Vertical {
+	t.Helper()
+	sr := NewSwapRandomizer(m.Base)
+	proposals, err := m.proposals(len(sr.occTid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr.Run(proposals, stats.NewRNG(seed))
+	return sr.Dataset().Vertical()
+}
+
 func TestSwapGenerateIntoMatchesGenerate(t *testing.T) {
-	// Small enough to cross-check many seeds exhaustively, with a Proposals
-	// override in the mix so the absolute-length knob follows the same
-	// stream-identity contract.
-	d := dataset.MustNew(12, [][]uint32{
-		{0, 1, 2}, {1, 2, 3}, {3, 4, 5}, {0, 5, 6}, {6, 7},
-		{2, 7, 8}, {8, 9, 10}, {0, 9, 11}, {4, 10, 11}, {1, 6, 9},
-	})
-	for _, m := range []*SwapModel{
-		{Base: d},
-		{Base: d, ProposalsPerOccurrence: 3},
-		{Base: d, Proposals: 137},
-	} {
-		v := &dataset.Vertical{}
-		for seed := uint64(0); seed < 50; seed++ {
-			fresh := m.Generate(stats.NewRNG(seed))
-			m.GenerateInto(stats.NewRNG(seed), v)
-			if v.NumTransactions != fresh.NumTransactions || len(v.Tids) != len(fresh.Tids) {
-				t.Fatalf("seed %d: shape mismatch", seed)
-			}
-			for it := range fresh.Tids {
-				if !reflect.DeepEqual(append([]uint32{}, fresh.Tids[it]...), append([]uint32{}, v.Tids[it]...)) {
-					t.Fatalf("seed %d (ppo=%d proposals=%d): column %d differs between pooled and allocating generation",
-						seed, m.ProposalsPerOccurrence, m.Proposals, it)
+	// The pooled chain must reproduce the map-based oracle exactly: same RNG
+	// stream, same accept/reject decisions, same dataset. The bases put rows
+	// on both sides of swapScanMax, far beyond it, and in a mix, so a slip in
+	// the long rows' sorted-copy upkeep changes a membership answer and
+	// shows up as a differing column.
+	bases := []struct {
+		name string
+		d    *dataset.Dataset
+	}{
+		{"small", dataset.MustNew(12, [][]uint32{
+			{0, 1, 2}, {1, 2, 3}, {3, 4, 5}, {0, 5, 6}, {6, 7},
+			{2, 7, 8}, {8, 9, 10}, {0, 9, 11}, {4, 10, 11}, {1, 6, 9},
+		})},
+		{"at-cutoff", swapRows(3*swapScanMax, append(
+			repeatLens(2, swapScanMax-1, swapScanMax, swapScanMax+1),
+			repeatLens(20, 3)...), 1)},
+		{"very-long", swapRows(32*swapScanMax, append(
+			[]int{30*swapScanMax + 5}, repeatLens(40, 4)...), 2)},
+		{"mixed", swapRows(4*swapScanMax, repeatLens(4,
+			2, 2*swapScanMax, 5, swapScanMax+1, 9, 3*swapScanMax, 1, swapScanMax/2), 3)},
+	}
+	for _, base := range bases {
+		for _, m := range []*SwapModel{
+			{Base: base.d},
+			{Base: base.d, ProposalsPerOccurrence: 3},
+			{Base: base.d, Proposals: 137},
+		} {
+			v := &dataset.Vertical{}
+			for seed := uint64(0); seed < 50; seed++ {
+				want := oracleVertical(t, m, seed)
+				m.GenerateInto(stats.NewRNG(seed), v)
+				if v.NumTransactions != want.NumTransactions || len(v.Tids) != len(want.Tids) {
+					t.Fatalf("%s seed %d: shape mismatch", base.name, seed)
+				}
+				for it := range want.Tids {
+					if !reflect.DeepEqual(append([]uint32{}, want.Tids[it]...), append([]uint32{}, v.Tids[it]...)) {
+						t.Fatalf("%s seed %d (ppo=%d proposals=%d): column %d differs between pooled chain and oracle",
+							base.name, seed, m.ProposalsPerOccurrence, m.Proposals, it)
+					}
 				}
 			}
+		}
+	}
+}
+
+func TestSwapChainLengthValidation(t *testing.T) {
+	d := dataset.MustNew(3, [][]uint32{{0, 1}, {1, 2}})
+	for _, m := range []*SwapModel{
+		{Base: d, ProposalsPerOccurrence: 1 << 62},
+		{Base: d, ProposalsPerOccurrence: math.MaxInt},
+		{Base: d, ProposalsPerOccurrence: -1},
+		{Base: d, Proposals: -7},
+	} {
+		if err := m.Validate(); err == nil {
+			t.Errorf("ppo=%d proposals=%d: Validate accepted an unusable chain length",
+				m.ProposalsPerOccurrence, m.Proposals)
+		}
+	}
+	for _, m := range []*SwapModel{
+		{Base: d},
+		{Base: d, ProposalsPerOccurrence: math.MaxInt / 4},
+		{Base: d, ProposalsPerOccurrence: 1 << 62, Proposals: 10},
+		{Base: dataset.MustNew(0, nil), ProposalsPerOccurrence: math.MaxInt},
+	} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("ppo=%d proposals=%d: %v", m.ProposalsPerOccurrence, m.Proposals, err)
 		}
 	}
 }

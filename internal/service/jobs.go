@@ -504,6 +504,13 @@ func (e *Engine) Submit(req JobRequest) (JobStatus, error) {
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w: dataset %q is not registered", ErrNotFound, req.Dataset)
 	}
+	if req.Kind == KindSignificant {
+		// The swap chain length depends on the dataset's size, so its
+		// overflow check waits for the registry lookup.
+		if err := ds.ValidateConfig(req.Config); err != nil {
+			return JobStatus{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+	}
 	canon := canonicalize(req)
 	key := cacheKeyFor(info.Hash, canon)
 

@@ -128,6 +128,9 @@ func TestSwapKnobValidation(t *testing.T) {
 	for _, body := range []string{
 		`{"dataset":"golden","kind":"significant","k":2,"config":{"SwapNull":true,"SwapProposalsPerOccurrence":-1}}`,
 		`{"dataset":"golden","kind":"significant","k":2,"config":{"SwapNull":true,"SwapProposals":-7}}`,
+		// Proposals per occurrence times the fixture's occurrences overflows
+		// int; unchecked, the chain would wrap to zero proposals.
+		`{"dataset":"golden","kind":"significant","k":2,"config":{"SwapNull":true,"SwapProposalsPerOccurrence":4611686018427387904}}`,
 	} {
 		var e map[string]string
 		code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader([]byte(body)), &e)

@@ -115,18 +115,14 @@ type RangePartial struct {
 // nullModelFor builds the null model a PartialRequest names, constructed
 // from the same dataset state the single-process pipeline uses — the worker
 // and the coordinator therefore generate value-identical replicates.
-func (ds *Dataset) nullModelFor(req PartialRequest) randmodel.Model {
+func (ds *Dataset) nullModelFor(req PartialRequest) (randmodel.Model, error) {
 	if req.SwapNull {
-		return &randmodel.SwapModel{
-			Base:                   ds.d,
-			ProposalsPerOccurrence: req.SwapProposalsPerOccurrence,
-			Proposals:              req.SwapProposals,
-		}
+		return ds.swapNull(req.SwapProposalsPerOccurrence, req.SwapProposals)
 	}
 	return randmodel.IndependentModel{
 		T:     ds.d.NumTransactions(),
 		Freqs: ds.frequencies(),
-	}
+	}, nil
 }
 
 // MineReplicateRange executes one replicate-range request against this
@@ -152,9 +148,13 @@ func (ds *Dataset) MineReplicateRange(ctx context.Context, req PartialRequest) (
 		Seeds:     req.Seeds,
 		Workers:   req.Workers,
 	}
+	null, err := ds.nullModelFor(req)
+	if err != nil {
+		return nil, err
+	}
 	ds.vertical() // force the one-time lazy caches for concurrent safety
 	var p montecarlo.Partial
-	if err := montecarlo.MineRange(ctx, ds.nullModelFor(req), mreq, nil, &p); err != nil {
+	if err := montecarlo.MineRange(ctx, null, mreq, nil, &p); err != nil {
 		return nil, err
 	}
 	out := RangePartial(p)

@@ -197,8 +197,8 @@ func (ds *Dataset) RandomTwin(seed uint64) *Dataset {
 // the transaction lengths exactly, via swap randomization (Gionis et al.
 // 2006) — the alternative null model discussed in the paper.
 func (ds *Dataset) SwapTwin(seed uint64) *Dataset {
-	out := randmodel.SwapRandomize(ds.d, 8, stats.NewRNG(seed))
-	return &Dataset{d: out}
+	m := &randmodel.SwapModel{Base: ds.d, ProposalsPerOccurrence: 8}
+	return fromVertical(m.Generate(stats.NewRNG(seed)))
 }
 
 // GenerateRandom draws a dataset from the independence null model described

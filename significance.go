@@ -79,11 +79,12 @@ type Config struct {
 	// replicate runs SwapProposalsPerOccurrence * |occurrences| swap
 	// proposals before the randomized dataset is mined (default 8 when zero;
 	// Gionis et al. report mixing after a small constant). Ignored unless
-	// SwapNull is set.
+	// SwapNull is set; negative values, and a product that overflows int,
+	// are rejected.
 	SwapProposalsPerOccurrence int
 	// SwapProposals, when positive, fixes the absolute number of swap
 	// proposals per replicate and overrides SwapProposalsPerOccurrence.
-	// Ignored unless SwapNull is set.
+	// Ignored unless SwapNull is set; negative values are rejected.
 	SwapProposals int
 	// Workers bounds the goroutines of every parallel stage (Monte Carlo
 	// replicate mining, observed-dataset counting, pattern materialization):
@@ -181,6 +182,10 @@ func (c *Config) withDefaults() (core.Options, error) {
 		o.RunProcedure1 = c.WithBaseline || c.Correction != ""
 		o.Workers = c.Workers
 		o.Progress = c.Progress
+		if c.SwapProposalsPerOccurrence < 0 || c.SwapProposals < 0 {
+			return o, fmt.Errorf("sigfim: swap chain lengths must be >= 0, got SwapProposalsPerOccurrence %d and SwapProposals %d",
+				c.SwapProposalsPerOccurrence, c.SwapProposals)
+		}
 		algo, err := mining.ParseAlgorithm(c.Algorithm)
 		if err != nil {
 			return o, fmt.Errorf("sigfim: unknown algorithm %q", c.Algorithm)
@@ -257,6 +262,31 @@ func (ds *Dataset) Significant(k int, cfg *Config) (*Report, error) {
 	return ds.SignificantCtx(context.Background(), k, cfg)
 }
 
+// ValidateConfig returns the configuration error Significant would return
+// for cfg on this dataset, without running anything: an unknown algorithm
+// or correction, a negative swap chain length, or, when cfg.SwapNull is set,
+// a chain length that overflows int on this dataset. A nil cfg is valid.
+func (ds *Dataset) ValidateConfig(cfg *Config) error {
+	if _, err := cfg.withDefaults(); err != nil {
+		return err
+	}
+	if cfg != nil && cfg.SwapNull {
+		_, err := ds.swapNull(cfg.SwapProposalsPerOccurrence, cfg.SwapProposals)
+		return err
+	}
+	return nil
+}
+
+// swapNull builds the swap null model over this dataset, rejecting a chain
+// length that is negative or overflows int.
+func (ds *Dataset) swapNull(ppo, proposals int) (*randmodel.SwapModel, error) {
+	m := &randmodel.SwapModel{Base: ds.d, ProposalsPerOccurrence: ppo, Proposals: proposals}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("sigfim: %w", err)
+	}
+	return m, nil
+}
+
 // SignificantCtx is Significant with cooperative cancellation: the context
 // is checked at replicate boundaries of the Monte Carlo loop and between
 // pipeline stages. A canceled run returns ctx.Err() (wrapping
@@ -272,11 +302,11 @@ func (ds *Dataset) SignificantCtx(ctx context.Context, k int, cfg *Config) (*Rep
 		return nil, err
 	}
 	if cfg != nil && cfg.SwapNull {
-		opts.NullModel = &randmodel.SwapModel{
-			Base:                   ds.d,
-			ProposalsPerOccurrence: cfg.SwapProposalsPerOccurrence,
-			Proposals:              cfg.SwapProposals,
+		m, err := ds.swapNull(cfg.SwapProposalsPerOccurrence, cfg.SwapProposals)
+		if err != nil {
+			return nil, err
 		}
+		opts.NullModel = m
 	}
 	if cfg.remoteEnabled() {
 		runner, pool, cleanup := ds.newRangeRunner(cfg)
