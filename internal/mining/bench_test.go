@@ -22,12 +22,7 @@ func benchDataset(b *testing.B) *dataset.Dataset {
 	const t = 20000
 	tx := make([][]uint32, t)
 	for item, f := range freqs {
-		s := stats.NewSkipSampler(t, f, r)
-		for {
-			pos, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, pos := range stats.AppendBernoulli(nil, t, f, r) {
 			tx[pos] = append(tx[pos], uint32(item))
 		}
 	}

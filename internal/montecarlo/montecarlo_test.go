@@ -33,6 +33,16 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// A NaN item frequency must be a validation error, not a panic while the
+// replicate columns are sized.
+func TestFindThresholdRejectsNaNFrequency(t *testing.T) {
+	m := uniformModel(5, 20, 0.2)
+	m.Freqs[3] = math.NaN()
+	if _, err := FindPoissonThreshold(m, Config{K: 2, Delta: 10, Epsilon: 0.01, Seed: 1}); err == nil {
+		t.Error("model with a NaN frequency accepted")
+	}
+}
+
 func TestDeltaForConfidence(t *testing.T) {
 	got := DeltaForConfidence(0.01, 0.05)
 	want := int(math.Ceil(8 * math.Log(20) / 0.01))

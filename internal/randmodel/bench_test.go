@@ -15,12 +15,42 @@ func benchModel() IndependentModel {
 	return IndependentModel{T: 50000, Freqs: z.Frequencies()}
 }
 
+// BenchmarkGenerateSkipSampling times one independence-null replicate per
+// op: a fresh Generate on the power-law model, and pooled GenerateInto (the
+// Monte Carlo path) on three shapes. powerlaw is sparse (2,000 items, mean
+// row ~8), dense has ~50 items per row at frequencies in [0.05, 0.9], and
+// golden is the null model of testdata/golden_input.dat.
 func BenchmarkGenerateSkipSampling(b *testing.B) {
-	m := benchModel()
-	r := stats.NewRNG(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Generate(r.Split())
+	b.Run("fresh", func(b *testing.B) {
+		m := benchModel()
+		r := stats.NewRNG(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Generate(r.Split())
+		}
+	})
+	golden, err := dataset.ReadFIMIFile("../../testdata/golden_input.dat")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sh := range []struct {
+		name string
+		m    IndependentModel
+	}{
+		{"powerlaw", benchModel()},
+		{"dense", IndependentModel{T: 2000, Freqs: stats.FitPowerLaw(200, 0.05, 0.9, 50).Frequencies()}},
+		{"golden", FromProfile(dataset.Extract("golden", golden))},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			v := &dataset.Vertical{}
+			r := stats.NewRNG(1)
+			sh.m.GenerateInto(r.Split(), v)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sh.m.GenerateInto(r.Split(), v)
+			}
+		})
 	}
 }
 

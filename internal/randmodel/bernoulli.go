@@ -29,7 +29,7 @@ func (m IndependentModel) Validate() error {
 		return fmt.Errorf("randmodel: negative transaction count %d", m.T)
 	}
 	for i, f := range m.Freqs {
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) {
 			return fmt.Errorf("randmodel: frequency %v of item %d outside [0,1]", f, i)
 		}
 	}
@@ -69,21 +69,13 @@ func (m IndependentModel) GenerateInto(r *stats.RNG, v *dataset.Vertical) {
 // sampleColumn appends the sorted tids of a Bernoulli(f) column of height t
 // to col (passed with length zero) and returns it.
 func sampleColumn(col bitset.TidList, t int, f float64, r *stats.RNG) bitset.TidList {
-	if f <= 0 || t == 0 {
+	if !(f > 0) || t == 0 {
 		return col
 	}
 	if col == nil {
 		col = make(bitset.TidList, 0, int(float64(t)*f)+4)
 	}
-	s := stats.NewSkipSampler(t, f, r)
-	for {
-		pos, ok := s.Next()
-		if !ok {
-			break
-		}
-		col = append(col, uint32(pos))
-	}
-	return col
+	return stats.AppendBernoulli(col, t, f, r)
 }
 
 // ExpectedItemsetSupport returns t * prod(f_i over the itemset): the mean of

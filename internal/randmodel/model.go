@@ -5,7 +5,11 @@
 //     item i appears in each of t transactions independently with its
 //     observed frequency f_i. Generation runs in O(sum_i t*f_i) expected
 //     time (that is, proportional to the output size, not to t*n) by
-//     placing each item's occurrences with geometric skips.
+//     placing each item's occurrences with geometric skips
+//     (stats.AppendBernoulli). Each gap is floor(log(U)/log1p(-f)) for one
+//     uniform U; a table logarithm computes it, and a certified margin
+//     sends the rare draws near an integer back to math.Log, so the columns
+//     are bit-identical to those of the plain formula.
 //   - MixtureModel — the Theorem 3 regime: each item's frequency R_x is
 //     itself drawn from a distribution R, then occurrences are placed
 //     independently. Used to validate the analytic Chen–Stein bounds.

@@ -18,6 +18,9 @@ func TestIndependentModelValidate(t *testing.T) {
 	if err := (IndependentModel{T: 1, Freqs: []float64{1.5}}).Validate(); err == nil {
 		t.Error("f > 1 accepted")
 	}
+	if err := (IndependentModel{T: 1, Freqs: []float64{0.5, math.NaN()}}).Validate(); err == nil {
+		t.Error("NaN frequency accepted")
+	}
 }
 
 func TestGenerateShape(t *testing.T) {

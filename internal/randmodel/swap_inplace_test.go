@@ -157,7 +157,7 @@ func TestSwapGenerateIntoMatchesGenerate(t *testing.T) {
 func TestSwapChainLengthValidation(t *testing.T) {
 	d := dataset.MustNew(3, [][]uint32{{0, 1}, {1, 2}})
 	for _, m := range []*SwapModel{
-		{Base: d, ProposalsPerOccurrence: 1 << 62},
+		{Base: d, ProposalsPerOccurrence: math.MaxInt / 2},
 		{Base: d, ProposalsPerOccurrence: math.MaxInt},
 		{Base: d, ProposalsPerOccurrence: -1},
 		{Base: d, Proposals: -7},
@@ -170,7 +170,7 @@ func TestSwapChainLengthValidation(t *testing.T) {
 	for _, m := range []*SwapModel{
 		{Base: d},
 		{Base: d, ProposalsPerOccurrence: math.MaxInt / 4},
-		{Base: d, ProposalsPerOccurrence: 1 << 62, Proposals: 10},
+		{Base: d, ProposalsPerOccurrence: math.MaxInt / 2, Proposals: 10},
 		{Base: dataset.MustNew(0, nil), ProposalsPerOccurrence: math.MaxInt},
 	} {
 		if err := m.Validate(); err != nil {

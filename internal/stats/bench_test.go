@@ -39,18 +39,14 @@ func BenchmarkSkipSamplerColumn(b *testing.B) {
 	r := NewRNG(2)
 	const t = 100000
 	const f = 1e-3
+	var col []uint32
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := NewSkipSampler(t, f, r)
-		for {
-			if _, ok := s.Next(); !ok {
-				break
-			}
-		}
+		col = AppendBernoulli(col[:0], t, f, r)
 	}
 }
 
-// BenchmarkNaiveBernoulliColumn is the baseline the skip sampler replaces:
+// BenchmarkNaiveBernoulliColumn is the baseline AppendBernoulli replaces:
 // one coin flip per transaction.
 func BenchmarkNaiveBernoulliColumn(b *testing.B) {
 	r := NewRNG(3)

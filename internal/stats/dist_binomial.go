@@ -115,7 +115,7 @@ func (b Binomial) Quantile(q float64) int {
 // skips, costing O(np) expected time; for p > 1/2 it samples the complement.
 // Exact (no normal approximation), which the statistical tests rely on.
 func (b Binomial) Sample(r *RNG) int {
-	if b.P <= 0 {
+	if !(b.P > 0) { // p <= 0 or NaN
 		return 0
 	}
 	if b.P >= 1 {
@@ -124,17 +124,15 @@ func (b Binomial) Sample(r *RNG) int {
 	if b.P > 0.5 {
 		return b.N - Binomial{N: b.N, P: 1 - b.P}.Sample(r)
 	}
-	// Successive gaps between successes are Geometric(p); position advances
-	// by gap+1 each success.
+	// Successive gaps between successes are Geometric(p); each success
+	// uses up gap+1 of the remaining trials.
+	g := newGeomGap(b.P)
 	count := 0
-	pos := 0
-	logq := math.Log1p(-b.P)
-	for {
-		gap := int(math.Floor(math.Log(r.Float64Open()) / logq))
-		pos += gap + 1
-		if pos > b.N {
+	for rem := float64(b.N); ; count++ {
+		gap, _ := g.gap(r.Float64Open())
+		if gap >= rem {
 			return count
 		}
-		count++
+		rem -= gap + 1
 	}
 }

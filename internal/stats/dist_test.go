@@ -234,52 +234,47 @@ func TestGeometricPMFAndSampler(t *testing.T) {
 	}
 }
 
-func TestSkipSamplerMatchesBernoulli(t *testing.T) {
-	// The set of positions visited by SkipSampler(n, p) must be distributed
-	// like independent Bernoulli(p) indicators: count has Binomial(n, p)
-	// mean, positions strictly increasing within range.
+func TestAppendBernoulliMatchesBernoulli(t *testing.T) {
+	// The positions AppendBernoulli(n, p) returns must be distributed like
+	// independent Bernoulli(p) indicators: count has Binomial(n, p) mean,
+	// positions strictly increasing within range.
 	r := NewRNG(321)
 	n, p := 10000, 0.01
 	const trials = 2000
 	total := 0
+	var col []uint32
 	for i := 0; i < trials; i++ {
-		s := NewSkipSampler(n, p, r)
+		col = AppendBernoulli(col[:0], n, p, r)
 		prev := -1
-		for {
-			pos, ok := s.Next()
-			if !ok {
-				break
-			}
-			if pos <= prev || pos >= n {
+		for _, pos := range col {
+			if int(pos) <= prev || int(pos) >= n {
 				t.Fatalf("positions not strictly increasing in range: %d after %d", pos, prev)
 			}
-			prev = pos
-			total++
+			prev = int(pos)
 		}
+		total += len(col)
 	}
 	mean := float64(total) / trials
 	want := float64(n) * p
 	se := math.Sqrt(want * (1 - p) / trials)
 	if math.Abs(mean-want) > 6*se {
-		t.Errorf("SkipSampler mean count %v, want %v", mean, want)
+		t.Errorf("AppendBernoulli mean count %v, want %v", mean, want)
 	}
 }
 
-func TestSkipSamplerEdgeCases(t *testing.T) {
+func TestAppendBernoulliEdgeCases(t *testing.T) {
 	r := NewRNG(1)
-	s := NewSkipSampler(100, 0, r)
-	if _, ok := s.Next(); ok {
-		t.Error("p=0 should yield nothing")
+	if got := AppendBernoulli(nil, 100, 0, r); len(got) != 0 {
+		t.Errorf("p=0 should yield nothing, got %v", got)
 	}
-	s = NewSkipSampler(5, 1, r)
-	for i := 0; i < 5; i++ {
-		pos, ok := s.Next()
-		if !ok || pos != i {
-			t.Fatalf("p=1 should yield every position: got %d,%v at step %d", pos, ok, i)
+	got := AppendBernoulli(nil, 5, 1, r)
+	if len(got) != 5 {
+		t.Fatalf("p=1 should yield every position, got %v", got)
+	}
+	for i, pos := range got {
+		if int(pos) != i {
+			t.Fatalf("p=1 should yield every position: got %d at step %d", pos, i)
 		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("p=1 sampler should exhaust at n")
 	}
 }
 

@@ -9,7 +9,10 @@
 // would be both slow and numerically unstable.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, seedable pseudo-random generator based on
 // xoshiro256**. It is deliberately not safe for concurrent use; callers that
@@ -54,19 +57,16 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64())
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly distributed bits.
+// Uint64 returns the next 64 uniformly distributed bits. It works on local
+// copies of the state so that it is cheap enough to inline into Intn,
+// Float64 and Float64Open, the per-draw calls of the swap chain and of the
+// geometric-skip generator.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.

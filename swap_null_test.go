@@ -2,6 +2,7 @@ package sigfim
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -90,8 +91,9 @@ func TestSwapChainLengthRejected(t *testing.T) {
 		t.Fatalf("open golden fixture: %v", err)
 	}
 	for _, cfg := range []*Config{
-		// 1<<62 proposals per occurrence wraps to a chain that never moves.
-		{Delta: 20, Seed: 1, SwapNull: true, SwapProposalsPerOccurrence: 1 << 62},
+		// MaxInt/2 proposals per occurrence overflow ppo*occ; unchecked, the
+		// wrapped product could be a chain that never moves.
+		{Delta: 20, Seed: 1, SwapNull: true, SwapProposalsPerOccurrence: math.MaxInt / 2},
 		{Delta: 20, Seed: 1, SwapNull: true, SwapProposalsPerOccurrence: -1},
 		{Delta: 20, Seed: 1, SwapNull: true, SwapProposals: -7},
 	} {
@@ -116,7 +118,7 @@ func TestSwapChainLengthRejected(t *testing.T) {
 		t.Error("FindSMin accepted a negative SwapProposalsPerOccurrence")
 	}
 	// An absolute Proposals override makes a huge per-occurrence knob moot.
-	if err := d.ValidateConfig(&Config{SwapNull: true, SwapProposalsPerOccurrence: 1 << 62, SwapProposals: 100}); err != nil {
+	if err := d.ValidateConfig(&Config{SwapNull: true, SwapProposalsPerOccurrence: math.MaxInt / 2, SwapProposals: 100}); err != nil {
 		t.Errorf("ValidateConfig rejected an overridden ppo: %v", err)
 	}
 }
