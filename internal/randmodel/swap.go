@@ -3,6 +3,7 @@ package randmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"sigfim/internal/dataset"
@@ -31,6 +32,14 @@ import (
 // without per-replicate allocation. Use it by pointer (&SwapModel{...}):
 // the methods have pointer receivers because the model carries the shared
 // once-guarded snapshot and the scratch pool, and must not be copied.
+//
+// The chain tests membership mostly without reading rows: each scratch
+// keeps, for rows of up to 128 items, a bucket filter of 64 one-byte counts
+// of the row's items by item mod 64. A zero count proves an item absent; a
+// nonzero one falls back to scanning the row, so every answer is exact and
+// the chain's decisions are those of a plain scan. Filters cost 64 bytes
+// per row per scratch, and rows get them longest first while they take at
+// most twice the bytes of the scratch's 4-byte occurrence slots.
 //
 // Callers that take the chain length from outside the program check it with
 // Validate before generating: generation panics on a length Validate rejects.
@@ -106,7 +115,7 @@ func (m *SwapModel) Generate(r *stats.RNG) *dataset.Vertical {
 // generation is interchangeable at every worker count.
 func (m *SwapModel) GenerateInto(r *stats.RNG, v *dataset.Vertical) {
 	b := m.prepare()
-	proposals, err := m.proposals(len(b.occTid))
+	proposals, err := m.proposals(len(b.occRow))
 	if err != nil {
 		panic(err)
 	}
@@ -125,73 +134,139 @@ func (m *SwapModel) GenerateInto(r *stats.RNG, v *dataset.Vertical) {
 // bisection and shifted on every accepted swap. Measured on uniform rows of
 // length L over 4L and 40L items, the scan stays ahead up to L = 256 and
 // falls behind by L = 512; on 2,000-item rows it is 4x slower than the
-// bisection. 128 leaves a margin on both sides.
+// bisection. 128 leaves a margin on both sides. The bucket filters do not
+// move this cutoff: a row of 128 items leaves a given bucket empty with
+// probability (63/64)^128, about 13%, so near the cutoff nearly every test
+// still scans. The cutoff also caps a filter's count at 128, inside uint8.
 const swapScanMax = 128
+
+// swapFilterBytes is the size of one row's bucket filter: a uint8 count of
+// the row's items x for each bucket x&63.
+const swapFilterBytes = 64
 
 // prepare builds (once) the immutable chain-start snapshot shared by every
 // worker's scratch.
 func (m *SwapModel) prepare() *swapBase {
 	m.prepOnce.Do(func() {
 		d := m.Base
-		t := d.NumTransactions()
+		tx := d.Transactions()
 		total := 0
-		for tid := 0; tid < t; tid++ {
-			total += len(d.Transaction(tid))
+		var hist [swapScanMax + 1]int // rows by length, up to swapScanMax
+		for _, tr := range tx {
+			total += len(tr)
+			if len(tr) <= swapScanMax {
+				hist[len(tr)]++
+			}
 		}
+		// Filter the rows of filterMin..swapScanMax items, with filterMin
+		// as small as keeps every filter together within twice the 4-byte
+		// occurrence slots: longer rows first, as their scans cost most.
 		b := &swapBase{
-			numItems: d.NumItems(),
-			numTx:    t,
-			occTid:   make([]uint32, 0, total),
-			occItem:  make([]uint32, 0, total),
-			txOff:    make([]int, t+1),
+			numItems:  d.NumItems(),
+			tx:        tx,
+			occRow:    make([]uint32, total),
+			rows:      make([]swapRow, 0, len(tx)),
+			filterMin: swapScanMax + 1,
 		}
-		for tid := 0; tid < t; tid++ {
-			tr := d.Transaction(tid)
-			b.txOff[tid] = len(b.occItem)
-			b.occItem = append(b.occItem, tr...)
-			for range tr {
-				b.occTid = append(b.occTid, uint32(tid))
-			}
-			if len(tr) > swapScanMax {
-				if b.sortedOff == nil {
-					b.sortedOff = make([]int, t)
+		for l := swapScanMax; l >= 1 && swapFilterBytes*(b.filtered+hist[l]) <= 2*4*total; l-- {
+			b.filtered += hist[l]
+			b.filterMin = l
+		}
+		// Number the filtered rows first, then the rest, each in tid order.
+		for _, filtered := range []bool{true, false} {
+			off := 0
+			for tid, tr := range tx {
+				if b.hasFilter(len(tr)) != filtered {
+					off += len(tr)
+					continue
 				}
-				b.sortedOff[tid] = len(b.sorted)
-				b.sorted = append(b.sorted, tr...)
+				r := len(b.rows)
+				if len(tr) > swapScanMax {
+					if b.sortedOff == nil {
+						b.sortedOff = make([]int, len(tx))
+					}
+					b.sortedOff[r] = b.sortedLen
+					b.sortedLen += len(tr)
+				}
+				b.rows = append(b.rows, swapRow{off: off, n: uint32(len(tr)), tid: uint32(tid)})
+				for range tr {
+					b.occRow[off] = uint32(r)
+					off++
+				}
 			}
 		}
-		b.txOff[t] = len(b.occItem)
 		m.prep = b
 	})
 	return m.prep
 }
 
-// swapBase is the immutable chain-start state. Occurrences are enumerated
-// transaction by transaction in ascending tid order, so transaction t owns
-// the occurrence slots [txOff[t], txOff[t+1]) and the chain's
-// occurrence->item array doubles as the row store: slot j always belongs to
-// transaction occTid[j], whichever item it currently holds.
+// swapBase is the immutable chain-start state shared by every worker: the
+// base dataset's sorted rows, and where a scratch keeps each row's chain
+// state. Occurrences are enumerated transaction by transaction in ascending
+// tid order, so each transaction owns a run of occurrence slots, and the
+// chain's occurrence->item array doubles as the row store: a slot always
+// belongs to the same row, whichever item it currently holds.
+//
+// Rows are numbered apart from tids: rows [0, filtered) are those of
+// filterMin..swapScanMax items, which keep bucket filters, and the others
+// follow. Row r's filter is swapScratch.counts[64r : 64r+64], so a
+// proposal reaches the filter from the slot's row number alone.
 type swapBase struct {
 	numItems  int
-	numTx     int
-	occTid    []uint32 // occurrence -> transaction id (never mutated by the chain)
-	occItem   []uint32 // occurrence -> item id at the chain start
-	txOff     []int    // transaction t owns occurrence slots [txOff[t], txOff[t+1])
-	sorted    []uint32 // sorted copies of the rows longer than swapScanMax
-	sortedOff []int    // such a row t starts at sorted[sortedOff[t]]; nil when no row is that long
+	tx        [][]uint32 // the base rows by tid, the chain's start (shared, read-only)
+	occRow    []uint32   // occurrence slot -> row number (never mutated by the chain)
+	rows      []swapRow  // by row number
+	filtered  int        // rows [0, filtered) keep bucket filters
+	filterMin int        // the shortest row with a filter
+	sortedOff []int      // by row number: a long row's sorted copy starts at swapScratch.sorted[sortedOff[r]]; nil when no row is longer than swapScanMax
+	sortedLen int        // length of a scratch's sorted copies
 }
 
-// swapScratch is one worker's mutable chain state, reset from the base
-// snapshot with bulk copies per replicate.
+// swapRow locates one row's chain state: occurrence slots [off, off+n) of
+// transaction tid.
+type swapRow struct {
+	off    int
+	n, tid uint32
+}
+
+// hasFilter reports whether a row of l items keeps a bucket filter.
+func (b *swapBase) hasFilter(l int) bool { return l >= b.filterMin && l <= swapScanMax }
+
+// swapScratch is one worker's mutable chain state, reset from the base rows
+// per replicate. counts holds the bucket filters: counts[64r+k] is the
+// number of row r's items x with x&63 == k. The filter is exact in the one
+// direction it is used: a zero count means no item of the row falls in x's
+// bucket, so x is absent and the row is not read; a nonzero count falls
+// back to the scan. A count never exceeds the row's length, at most
+// swapScanMax, so uint8 cannot overflow.
 type swapScratch struct {
-	occItem []uint32 // occurrence -> item id (chain state, unsorted within rows)
-	sorted  []uint32 // sorted copies of the long rows (chain state)
+	occItem  []uint32 // occurrence -> item id (chain state, unsorted within rows)
+	sorted   []uint32 // sorted copies of the long rows (chain state)
+	counts   []uint8  // bucket filters of rows [0, filtered) (chain state)
+	filtered int      // the base's filtered row count, kept here so absent and move inline
 }
 
-// reset restores the scratch to the chain-start state.
+// reset restores the scratch to the chain-start state: every row's slots,
+// and each long row's sorted copy or filtered row's bucket counts.
 func (sc *swapScratch) reset(b *swapBase) {
-	sc.occItem = append(sc.occItem[:0], b.occItem...)
-	sc.sorted = append(sc.sorted[:0], b.sorted...)
+	n, nc := len(b.occRow), swapFilterBytes*b.filtered
+	sc.occItem = slices.Grow(sc.occItem[:0], n)[:n]
+	sc.sorted = slices.Grow(sc.sorted[:0], b.sortedLen)[:b.sortedLen]
+	sc.counts = slices.Grow(sc.counts[:0], nc)[:nc]
+	clear(sc.counts)
+	sc.filtered = b.filtered
+	for r, row := range b.rows {
+		tr := b.tx[row.tid]
+		copy(sc.occItem[row.off:], tr)
+		if r < b.filtered {
+			f := sc.counts[swapFilterBytes*r : swapFilterBytes*(r+1)]
+			for _, x := range tr {
+				f[x&63]++
+			}
+		} else if len(tr) > swapScanMax {
+			copy(sc.sorted[b.sortedOff[r]:], tr)
+		}
+	}
 }
 
 // searchU32 returns the first index in w whose value is >= x.
@@ -208,29 +283,49 @@ func searchU32(w []uint32, x uint32) int {
 	return lo
 }
 
-// sortedRow returns the sorted copy of transaction t, whose row holds l
-// items, or nil when the row is short enough to be scanned in place.
-func (sc *swapScratch) sortedRow(b *swapBase, t uint32, l int) []uint32 {
-	if l <= swapScanMax {
-		return nil
-	}
-	off := b.sortedOff[t]
-	return sc.sorted[off : off+l]
+// absent reports whether row r's bucket filter proves that the row does
+// not hold x: r keeps a filter and x's bucket count is zero.
+func (sc *swapScratch) absent(r, x uint32) bool {
+	return int(r) < sc.filtered && sc.counts[swapFilterBytes*int(r)+int(x&63)] == 0
 }
 
-// member reports whether a row holds x: by bisecting its sorted copy when
-// it has one, else by scanning its slots.
-func member(row, sorted []uint32, x uint32) bool {
-	if sorted != nil {
-		i := searchU32(sorted, x)
-		return i < len(sorted) && sorted[i] == x
+// move records in row r's bucket filter that the row gave up item old for
+// item new. It reports false, recording nothing, when r keeps no filter.
+func (sc *swapScratch) move(r, old, new uint32) bool {
+	if int(r) >= sc.filtered {
+		return false
 	}
-	for _, y := range row {
+	f := sc.counts[swapFilterBytes*int(r):]
+	f[old&63]--
+	f[new&63]++
+	return true
+}
+
+// holds reports whether row r holds x, by bisecting its sorted copy when it
+// has one, else by scanning its slots.
+func (sc *swapScratch) holds(b *swapBase, r, x uint32) bool {
+	row := b.rows[r]
+	n := int(row.n)
+	if n > swapScanMax {
+		s := sc.sorted[b.sortedOff[r]:][:n]
+		i := searchU32(s, x)
+		return i < n && s[i] == x
+	}
+	for _, y := range sc.occItem[row.off : row.off+n] {
 		if y == x {
 			return true
 		}
 	}
 	return false
+}
+
+// replace records that the unfiltered row r gave up item old for item new
+// in its sorted copy, when it is long enough to keep one. The caller
+// rewrites the slot itself.
+func (sc *swapScratch) replace(b *swapBase, r, old, new uint32) {
+	if n := int(b.rows[r].n); n > swapScanMax {
+		replaceSorted(sc.sorted[b.sortedOff[r]:][:n], old, new)
+	}
 }
 
 // replaceSorted swaps item old for item new in the sorted row w, keeping it
@@ -247,54 +342,56 @@ func replaceSorted(w []uint32, old, new uint32) {
 	}
 }
 
-// run executes the Markov chain of Gionis et al.: two Intn draws per
-// proposal (none when fewer than two occurrences exist); a proposal is
-// rejected when it picks one slot twice, two slots of one transaction or of
-// one item, or when either rewired transaction already holds the incoming
-// item. An accepted swap rewrites the two slots.
+// run executes the Markov chain of Gionis et al.: two draws from [0, n) per
+// proposal, the values r.Intn(n) would return (none when fewer than two
+// occurrences exist); a proposal is rejected when it picks one slot twice,
+// two slots of one transaction or of one item, or when either rewired
+// transaction already holds the incoming item. Most membership tests on a
+// filtered row end at a zero bucket count, reached from the slot's row
+// number without reading the row. An accepted swap rewrites the two slots
+// and adjusts each row's filter or sorted copy.
 func (sc *swapScratch) run(b *swapBase, proposals int, r *stats.RNG) {
-	n := len(b.occTid)
+	n := len(b.occRow)
 	if n < 2 {
 		return
 	}
-	occ, occTid, txOff := sc.occItem, b.occTid, b.txOff
+	occ, occRow := sc.occItem, b.occRow
+	draw := stats.NewFixedIntn(n)
 	for p := 0; p < proposals; p++ {
-		a := r.Intn(n)
-		c := r.Intn(n)
+		a, ok := draw.Reduce(r.Uint64())
+		if !ok {
+			a = draw.Draw(r)
+		}
+		c, ok := draw.Reduce(r.Uint64())
+		if !ok {
+			c = draw.Draw(r)
+		}
 		if a == c {
 			continue
 		}
-		t1, i1 := occTid[a], occ[a]
-		t2, i2 := occTid[c], occ[c]
-		if t1 == t2 || i1 == i2 {
+		r1, i1 := occRow[a], occ[a]
+		r2, i2 := occRow[c], occ[c]
+		if r1 == r2 || i1 == i2 ||
+			!sc.absent(r1, i2) && sc.holds(b, r1, i2) ||
+			!sc.absent(r2, i1) && sc.holds(b, r2, i1) {
 			continue
 		}
-		row1 := occ[txOff[t1]:txOff[t1+1]]
-		s1 := sc.sortedRow(b, t1, len(row1))
-		if member(row1, s1, i2) {
-			continue
+		if !sc.move(r1, i1, i2) {
+			sc.replace(b, r1, i1, i2)
 		}
-		row2 := occ[txOff[t2]:txOff[t2+1]]
-		s2 := sc.sortedRow(b, t2, len(row2))
-		if member(row2, s2, i1) {
-			continue
-		}
-		if s1 != nil {
-			replaceSorted(s1, i1, i2)
-		}
-		if s2 != nil {
-			replaceSorted(s2, i2, i1)
+		if !sc.move(r2, i2, i1) {
+			sc.replace(b, r2, i2, i1)
 		}
 		occ[a], occ[c] = i2, i1
 	}
 }
 
 // materialize writes the current chain state into v in vertical layout.
-// Slots are visited in ascending tid order, so every item's tid list comes
-// out sorted although rows are unsorted.
+// Slots are visited in ascending order, which is ascending tid order, so
+// every item's tid list comes out sorted although rows are unsorted.
 func (sc *swapScratch) materialize(b *swapBase, v *dataset.Vertical) {
-	v.Reuse(b.numTx, b.numItems)
+	v.Reuse(len(b.tx), b.numItems)
 	for j, it := range sc.occItem {
-		v.Tids[it] = append(v.Tids[it], b.occTid[j])
+		v.Tids[it] = append(v.Tids[it], b.rows[b.occRow[j]].tid)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -108,12 +109,53 @@ func oracleVertical(t *testing.T, m *SwapModel, seed uint64) *dataset.Vertical {
 	return sr.Dataset().Vertical()
 }
 
+// bucketCollisionBase builds rows that load the bucket filters: rows whose
+// items all fall in bucket 5 (item mod 64 = 5), one of them holding
+// swapScanMax such items so that its count reaches 128, and rows that mix
+// bucket-5 items with items from other buckets. 200 rows of five items make
+// the filter budget bind, so that the shortest filtered length lands at 6
+// and rows of 5, 6 and 7 items sit on both sides of it.
+func bucketCollisionBase(t *testing.T) *dataset.Dataset {
+	const buckets = swapScanMax + 2
+	n := 64 * buckets
+	r := stats.NewRNG(4)
+	colliding := func(l int) []uint32 {
+		var row []uint32
+		for _, k := range r.Perm(buckets)[:l] {
+			row = append(row, uint32(64*k+5))
+		}
+		return row
+	}
+	mixed := func(l int) []uint32 {
+		row := colliding(l / 2)
+		for len(row) < l {
+			if it := uint32(r.Intn(n)); it%64 != 5 && !slices.Contains(row, it) {
+				row = append(row, it)
+			}
+		}
+		return row
+	}
+	tx := [][]uint32{colliding(swapScanMax), colliding(9), colliding(20), colliding(60)}
+	for _, l := range []int{16, 32, 64, 100} {
+		tx = append(tx, mixed(l))
+	}
+	for _, l := range append(repeatLens(10, 6, 7), repeatLens(200, 5)...) {
+		tx = append(tx, mixed(l))
+	}
+	d := dataset.MustNew(n, tx)
+	if got := (&SwapModel{Base: d}).prepare().filterMin; got != 6 {
+		t.Fatalf("bucket-collision base: filters start at rows of %d items, want 6", got)
+	}
+	return d
+}
+
 func TestSwapGenerateIntoMatchesGenerate(t *testing.T) {
 	// The pooled chain must reproduce the map-based oracle exactly: same RNG
 	// stream, same accept/reject decisions, same dataset. The bases put rows
 	// on both sides of swapScanMax, far beyond it, and in a mix, so a slip in
 	// the long rows' sorted-copy upkeep changes a membership answer and
-	// shows up as a differing column.
+	// shows up as a differing column. The bucket-collision base does the
+	// same for the bucket filters' counts.
 	bases := []struct {
 		name string
 		d    *dataset.Dataset
@@ -129,6 +171,7 @@ func TestSwapGenerateIntoMatchesGenerate(t *testing.T) {
 			[]int{30*swapScanMax + 5}, repeatLens(40, 4)...), 2)},
 		{"mixed", swapRows(4*swapScanMax, repeatLens(4,
 			2, 2*swapScanMax, 5, swapScanMax+1, 9, 3*swapScanMax, 1, swapScanMax/2), 3)},
+		{"bucket-collision", bucketCollisionBase(t)},
 	}
 	for _, base := range bases {
 		for _, m := range []*SwapModel{
@@ -149,6 +192,38 @@ func TestSwapGenerateIntoMatchesGenerate(t *testing.T) {
 							base.name, seed, m.ProposalsPerOccurrence, m.Proposals, it)
 					}
 				}
+			}
+		}
+	}
+}
+
+func TestSwapFilterBudget(t *testing.T) {
+	// On every input the bucket filters of one scratch take at most twice
+	// the bytes of its 4-byte occurrence slots, longest rows first.
+	shapes := swapBenchShapes()
+	for _, c := range []struct {
+		name      string
+		d         *dataset.Dataset
+		filterMin int
+	}{
+		{"one-item rows", swapRows(50, repeatLens(100, 1), 5), 2},
+		{"one-item rows and one of 9", swapRows(50, append(repeatLens(100, 1), 9), 6), 2},
+		{"short", shapes[0].d, 1},
+		{"long", shapes[2].d, 1},
+		{"bucket-collision", bucketCollisionBase(t), 6},
+		{"empty", dataset.MustNew(0, nil), 1},
+	} {
+		b := (&SwapModel{Base: c.d}).prepare()
+		if b.filterMin != c.filterMin {
+			t.Errorf("%s: filters start at rows of %d items, want %d", c.name, b.filterMin, c.filterMin)
+		}
+		if got, bound := swapFilterBytes*b.filtered, 2*4*len(b.occRow); got > bound {
+			t.Errorf("%s: %d filter bytes exceed twice the %d slot bytes", c.name, got, 4*len(b.occRow))
+		}
+		for r, row := range b.rows {
+			if want := r < b.filtered; b.hasFilter(int(row.n)) != want {
+				t.Fatalf("%s: row %d of %d items is numbered on the wrong side of %d filtered rows",
+					c.name, r, row.n, b.filtered)
 			}
 		}
 	}

@@ -93,26 +93,54 @@ func (r *RNG) Intn(n int) int {
 	}
 	bound := uint64(n)
 	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(r.Uint64(), bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
 }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	tmp := a1*b0 + w0>>32
-	w1, w2 := tmp&mask, tmp>>32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
+// FixedIntn draws uniform integers in [0, n) for an n fixed in advance. For
+// every n and every RNG state it returns exactly what r.Intn(n) returns and
+// leaves r in the same state: it runs Intn's rejection test with Lemire's
+// threshold 2^64 mod n computed once, by NewFixedIntn, instead of per draw.
+// (Intn accepts when lo >= n or lo >= 2^64 mod n; as 2^64 mod n < n, that
+// is lo >= 2^64 mod n.)
+//
+// Reduce is the accepting path, small enough to inline into a caller's
+// loop; Draw finishes a rejected draw:
+//
+//	x, ok := f.Reduce(r.Uint64())
+//	if !ok {
+//		x = f.Draw(r)
+//	}
+type FixedIntn struct {
+	n, thresh uint64
+}
+
+// NewFixedIntn returns the sampler of [0, n). It panics if n <= 0.
+func NewFixedIntn(n int) FixedIntn {
+	if n <= 0 {
+		panic("stats: NewFixedIntn with non-positive n")
+	}
+	b := uint64(n)
+	return FixedIntn{n: b, thresh: -b % b}
+}
+
+// Reduce maps one stream value v into [0, n). ok is false when the
+// rejection test discards v; the draw then continues with Draw.
+func (f FixedIntn) Reduce(v uint64) (x int, ok bool) {
+	hi, lo := bits.Mul64(v, f.n)
+	return int(hi), lo >= f.thresh
+}
+
+// Draw returns the next uniform integer in [0, n), exactly r.Intn(n).
+func (f FixedIntn) Draw(r *RNG) int {
+	for {
+		if x, ok := f.Reduce(r.Uint64()); ok {
+			return x
+		}
+	}
 }
 
 // Int63 returns a non-negative 63-bit integer.

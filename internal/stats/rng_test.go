@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -96,6 +98,102 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Intn(0)
+}
+
+// intnPins fingerprint r.Intn(n) from NewRNG(seed): hash is the FNV-64a of
+// the first 64 outputs written in decimal, each followed by a comma, and
+// next is the Uint64 drawn after them, which pins the values the rejection
+// loop consumed. Captured before Intn used bits.Mul64. The last two bounds
+// exceed 2^32 and run on 64-bit platforms only; 2^62+1 rejects about a
+// quarter of its draws.
+var intnPins = []struct {
+	n, seed, hash, next uint64
+}{
+	{1, 1, 0xbc64bf95c2475b25, 0x9436a47fa3eb824b},
+	{1, 15, 0xbc64bf95c2475b25, 0x6272100e8056947a},
+	{2, 1, 0xf4f45ddb3ea50774, 0x9436a47fa3eb824b},
+	{2, 15, 0x21b0fd25a99d5b35, 0x6272100e8056947a},
+	{3, 1, 0xa4b1ba9805e41d17, 0x9436a47fa3eb824b},
+	{3, 15, 0xd06a4f06c561a136, 0x6272100e8056947a},
+	{1000003, 1, 0xce8f7c0a310073c3, 0x9436a47fa3eb824b},
+	{1000003, 15, 0x2041d28836842e3c, 0x6272100e8056947a},
+	{1<<31 - 1, 1, 0x252327025af0e543, 0x9436a47fa3eb824b},
+	{1<<31 - 1, 15, 0xe17f5a5f4c699155, 0x6272100e8056947a},
+	{3<<40 + 7, 1, 0x3d0f1f7c8478c84f, 0x9436a47fa3eb824b},
+	{3<<40 + 7, 15, 0xc7ef050d4631bd41, 0x6272100e8056947a},
+	{1<<62 + 1, 1, 0x882087dc1ef90b7c, 0x52901f44bbf9062b},
+	{1<<62 + 1, 15, 0x9fee94be81971d9, 0x6252997eb890546f},
+}
+
+// intnFingerprint draws 64 values with draw and returns intnPins' hash and
+// next for them.
+func intnFingerprint(r *RNG, draw func(*RNG) int) (hash, next uint64) {
+	h := fnv.New64a()
+	for i := 0; i < 64; i++ {
+		fmt.Fprintf(h, "%d,", draw(r))
+	}
+	return h.Sum64(), r.Uint64()
+}
+
+func TestIntnPinned(t *testing.T) {
+	for _, p := range intnPins {
+		if p.n > math.MaxInt {
+			continue // beyond int on this platform
+		}
+		n := int(p.n)
+		hash, next := intnFingerprint(NewRNG(p.seed), func(r *RNG) int { return r.Intn(n) })
+		if hash != p.hash || next != p.next {
+			t.Errorf("Intn(%d) from seed %d: fingerprint %#x, next %#x; want %#x, %#x",
+				n, p.seed, hash, next, p.hash, p.next)
+		}
+	}
+}
+
+func TestFixedIntnMatchesIntn(t *testing.T) {
+	// Draw alone and the Reduce-then-Draw pattern must return Intn's values
+	// and leave the RNG where Intn leaves it, on the pinned bounds and on
+	// bounds whose rejection zone is large or tiny.
+	ns := []uint64{1, 2, 3, 7, 1000003, 1<<31 - 1, 1 << 30, 3 << 29}
+	for _, p := range intnPins {
+		ns = append(ns, p.n)
+	}
+	ns = append(ns, 1<<63-1, 1<<62+1, 3<<61, 1<<63/3*2+1)
+	for _, un := range ns {
+		if un > math.MaxInt {
+			continue
+		}
+		n := int(un)
+		f := NewFixedIntn(n)
+		for _, seed := range []uint64{1, 15, 99} {
+			want, fixed, pattern := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+			for i := 0; i < 4096; i++ {
+				w := want.Intn(n)
+				if got := f.Draw(fixed); got != w {
+					t.Fatalf("n=%d seed=%d draw %d: Draw %d, Intn %d", n, seed, i, got, w)
+				}
+				got, ok := f.Reduce(pattern.Uint64())
+				if !ok {
+					got = f.Draw(pattern)
+				}
+				if got != w {
+					t.Fatalf("n=%d seed=%d draw %d: Reduce/Draw %d, Intn %d", n, seed, i, got, w)
+				}
+			}
+			if w, a, b := want.Uint64(), fixed.Uint64(), pattern.Uint64(); a != w || b != w {
+				t.Fatalf("n=%d seed=%d: RNG state after Draw (%#x) or Reduce/Draw (%#x) differs from Intn's (%#x)",
+					n, seed, a, b, w)
+			}
+		}
+	}
+}
+
+func TestFixedIntnPanicsOnNonPositive(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewFixedIntn(0) should panic")
+		}
+	}()
+	NewFixedIntn(0)
 }
 
 func TestPermIsPermutation(t *testing.T) {
